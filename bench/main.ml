@@ -708,75 +708,6 @@ let bench_joins () =
     [ 200; 800; 2000 ]
 
 (* ------------------------------------------------------------------ *)
-(* B-PAR: partitioned parallel execution across the domain pool, on the
-   two largest B-ORDER scenarios.  jobs=1 is the untouched serial
-   engine; higher settings fan the collection builds and the partition
-   chunks across (jobs - 1) pooled helper domains plus the caller.
-   par_threshold is forced to 0 so the benchmark databases partition at
-   every operator — the speedup (or, on a single hardware core, the
-   overhead) of the parallel machinery itself is what is measured.
-   Recorded per cell: jobs and the pool tasks the run spawned, so the
-   regression guard can confirm the parallel path actually ran. *)
-
-let bench_parallel () =
-  section "B-PAR" "partitioned parallel execution: jobs 1 vs 2 vs max";
-  let jobs_list =
-    List.sort_uniq compare
-      [ 1; 2; max 4 (Domain.recommended_domain_count ()) ]
-  in
-  Fmt.pr "(hardware cores: %d; par_threshold 0; median of 5 passes)@."
-    (Domain.recommended_domain_count ());
-  Fmt.pr "%-14s %-6s %-5s | %10s %9s %10s@." "query" "scale" "jobs" "wall_ms"
-    "speedup" "par_tasks";
-  let case qname scale strategy db q =
-    let serial_ms = ref 0.0 in
-    List.iter
-      (fun jobs ->
-        let opts = Exec_opts.make ~strategy ~jobs ~par_threshold:0 () in
-        (* Warmup: spawn the pool workers (a one-off cost amortized
-           across queries in a real process) and touch the caches. *)
-        let report = exec_q_report ~opts db q in
-        let t0 = Obs.Metrics.counter_value "parallel.tasks" in
-        let (), ms, percentiles =
-          time_percentiles ~repeat:5 (fun () ->
-              ignore (exec_q ~opts db q : Relation.t))
-        in
-        let tasks =
-          (Obs.Metrics.counter_value "parallel.tasks" - t0) / 5
-        in
-        if jobs = 1 then serial_ms := ms;
-        record ~experiment:"B-PAR" ~query:qname
-          ~strategy:(Fmt.str "jobs=%d" jobs) ~scale ~wall_ms:ms
-          ~scans:report.Exec_result.scans ~probes:report.Exec_result.probes
-          ~max_ntuple:report.Exec_result.max_ntuple ?percentiles
-          ~extra:
-            [
-              ("jobs", Obs.Json.Int jobs);
-              ("par_tasks", Obs.Json.Int tasks);
-            ]
-          ();
-        Fmt.pr "%-14s %-6d %-5d | %10.2f %8.2fx %10d@." qname scale jobs ms
-          (!serial_ms /. Float.max ms 0.001)
-          tasks)
-      jobs_list
-  in
-  List.iter
-    (fun s ->
-      let db = Workload.University.generate (uni_params s) in
-      case "running" s Strategy.s12 db (Workload.Queries.running_query db))
-    (scales [ 2 ]);
-  List.iter
-    (fun s ->
-      let db =
-        Workload.Suppliers.generate (Workload.Suppliers.scaled ~seed:(7 + s) s)
-      in
-      case "no red part" s Strategy.s123 db
-        (Workload.Suppliers.ships_no_red_part db))
-    (scales [ 4 ]);
-  (* Join the pool workers: idle parked domains tax every later
-     stop-the-world section, and nothing after B-PAR needs the pool. *)
-  Domain_pool.shutdown ()
-
 (* B-PREP: the Session plan cache — prepared re-execution vs cold
    one-shot runs.  A cold run (exec_q, one throwaway session
    per call) re-enters the whole planning pipeline every time: adapt,
@@ -1131,13 +1062,11 @@ let experiments =
     ("B-VEC", bench_vec);
     ("B-INDEX", bench_index);
     ("B-MICRO", bench_bechamel);
-    (* The two multi-domain experiments run last: the serial experiments
-       must not share their process phase with extra domains, which tax
-       every stop-the-world GC section.  B-TRAFFIC's client domains are
-       joined when each pass ends; B-PAR's pool workers are joined by the
-       Domain_pool.shutdown at its end. *)
+    (* The multi-domain experiment runs last: the serial experiments must
+       not share their process phase with extra domains, which tax every
+       stop-the-world GC section.  B-TRAFFIC's client domains are joined
+       when each pass ends. *)
     ("B-TRAFFIC", bench_traffic);
-    ("B-PAR", bench_parallel);
   ]
 
 let () =
@@ -1156,7 +1085,7 @@ let () =
         "LIST run only the named experiments (comma-separated ids)" );
       ( "--max-scale",
         Arg.Int (fun n -> max_scale := Some n),
-        "N skip scale points above N (B-SCALE, B-DIV, B-ORDER, B-PAR)" );
+        "N skip scale points above N (B-SCALE, B-DIV, B-ORDER)" );
       ("--out", Arg.Set_string out_path, "FILE results path");
     ]
   in

@@ -165,20 +165,20 @@ let setup_logs = function
     Logs.set_reporter log_reporter
 
 let verbosity_arg =
-  (* [Some None] = reporter installed, all logging off. *)
+  (* [None] = reporter installed, all logging off. *)
   let levels =
     [
-      ("quiet", Some None);
-      ("error", Some (Some Logs.Error));
-      ("warn", Some (Some Logs.Warning));
-      ("warning", Some (Some Logs.Warning));
-      ("info", Some (Some Logs.Info));
-      ("debug", Some (Some Logs.Debug));
+      ("quiet", None);
+      ("error", Some Logs.Error);
+      ("warn", Some Logs.Warning);
+      ("warning", Some Logs.Warning);
+      ("info", Some Logs.Info);
+      ("debug", Some Logs.Debug);
     ]
   in
   Arg.(
     value
-    & opt (enum levels) None
+    & opt (some (enum levels)) None
     & info [ "verbosity" ] ~docv:"LEVEL"
         ~doc:
           "Install a Logs reporter at this level (quiet, error, warn, \
@@ -298,16 +298,6 @@ let join_order_arg =
         ~doc:
           "Combination-phase join order: $(b,ordered) (greedy cost order, \
            default) or $(b,declaration) (the paper's literal baseline).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains executing the query, caller included.  $(b,1) forces \
-           the serial engine; the default comes from PASCALR_JOBS or the \
-           core count.")
 
 let batch_size_arg =
   Arg.(
@@ -450,7 +440,7 @@ let pool_pages_arg =
 
 let run_cmd =
   let go kind scale seed schema loads query file example strategy join_order
-      jobs batch_size indexes no_index params verbose trace slow_ms trace_out
+      batch_size indexes no_index params verbose trace slow_ms trace_out
       pool_pages verbosity failpoints =
     setup_logs verbosity;
     arm_failpoints failpoints;
@@ -472,7 +462,7 @@ let run_cmd =
         in
         let opts =
           Exec_opts.make ~strategy:st
-            ~join_order:(join_order_of_flag join_order) ?jobs ?batch_size
+            ~join_order:(join_order_of_flag join_order) ?batch_size
             ~use_index:(Exec_opts.default_use_index && not no_index) ()
         in
         let params = parse_params db params in
@@ -514,7 +504,7 @@ let run_cmd =
     Term.(
       const go $ db_arg $ scale_arg $ seed_arg $ schema_arg $ load_arg
       $ query_arg $ file_arg $ example_arg $ strategy_arg $ join_order_arg
-      $ jobs_arg $ batch_size_arg $ index_arg $ no_index_arg $ param_arg
+      $ batch_size_arg $ index_arg $ no_index_arg $ param_arg
       $ verbose $ trace_arg $ slow_ms_arg
       $ trace_out_arg $ pool_pages_arg $ verbosity_arg $ failpoint_arg)
 
@@ -526,7 +516,7 @@ let run_cmd =
 
 let analyze_cmd =
   let go kind scale seed schema loads query file example strategy join_order
-      jobs batch_size indexes no_index params repeat json show_trace slow_ms
+      batch_size indexes no_index params repeat json show_trace slow_ms
       trace_out pool_pages verbosity failpoints =
     setup_logs verbosity;
     arm_failpoints failpoints;
@@ -540,7 +530,7 @@ let analyze_cmd =
         in
         let opts =
           Exec_opts.make ~strategy:st
-            ~join_order:(join_order_of_flag join_order) ?jobs ?batch_size
+            ~join_order:(join_order_of_flag join_order) ?batch_size
             ~use_index:(Exec_opts.default_use_index && not no_index) ()
         in
         let params = parse_params db params in
@@ -610,7 +600,7 @@ let analyze_cmd =
     Term.(
       const go $ db_arg $ scale_arg $ seed_arg $ schema_arg $ load_arg
       $ query_arg $ file_arg $ example_arg $ strategy_arg $ join_order_arg
-      $ jobs_arg $ batch_size_arg $ index_arg $ no_index_arg $ param_arg
+      $ batch_size_arg $ index_arg $ no_index_arg $ param_arg
       $ repeat_arg $ json_arg $ trace_arg
       $ slow_ms_arg $ trace_out_arg $ pool_pages_arg $ verbosity_arg
       $ failpoint_arg)
@@ -626,7 +616,7 @@ let analyze_cmd =
 
 let stats_cmd =
   let go kind scale seed schema loads query file example strategy join_order
-      jobs batch_size params repeat json slow_ms trace_out verbosity =
+      batch_size params repeat json slow_ms trace_out verbosity =
     setup_logs verbosity;
     Obs.Flight_recorder.set_slow_ms slow_ms;
     if repeat < 1 then begin
@@ -669,7 +659,7 @@ let stats_cmd =
             | None -> (Planner.choose db qq).Planner.d_strategy
           in
           Exec_opts.make ~strategy:st
-            ~join_order:(join_order_of_flag join_order) ?jobs ?batch_size ()
+            ~join_order:(join_order_of_flag join_order) ?batch_size ()
         in
         let params = parse_params db params in
         let workload = List.map (fun qq -> (qq, opts_of qq)) workload in
@@ -743,7 +733,7 @@ let stats_cmd =
     Term.(
       const go $ db_arg $ scale_arg $ seed_arg $ schema_arg $ load_arg
       $ query_arg $ file_arg $ example_arg $ strategy_arg $ join_order_arg
-      $ jobs_arg $ batch_size_arg $ param_arg $ repeat_arg $ json_arg
+      $ batch_size_arg $ param_arg $ repeat_arg $ json_arg
       $ slow_ms_arg
       $ trace_out_arg $ verbosity_arg)
 
@@ -756,7 +746,7 @@ let stats_cmd =
    per scenario class. *)
 
 let traffic_cmd =
-  let go kind scale seed clients rate duration requests warmup jobs write_pct
+  let go kind scale seed clients rate duration requests warmup write_pct
       json verbosity =
     setup_logs verbosity;
     try
@@ -781,12 +771,8 @@ let traffic_cmd =
         failwith "--requests must exceed --warmup";
       let db = make_db kind scale seed in
       let mix = Workload.Driver.mix_for ~write_pct db ~kind in
-      (* Unlike run/analyze, the default is jobs=1: the driver
-         parallelizes across clients, not inside queries, so client
-         domains do not contend for the worker pool. *)
-      let opts = Exec_opts.make ~jobs:(Option.value jobs ~default:1) () in
       let cfg =
-        Workload.Driver.config ~clients ~mode ~requests ~warmup ~seed ~opts ()
+        Workload.Driver.config ~clients ~mode ~requests ~warmup ~seed ()
       in
       let report = Workload.Driver.run cfg db mix in
       if json then
@@ -865,7 +851,7 @@ let traffic_cmd =
           report throughput and latency percentiles per scenario class")
     Term.(
       const go $ db_arg $ scale_arg $ seed_arg $ clients_arg $ rate_arg
-      $ duration_arg $ requests_arg $ warmup_arg $ jobs_arg $ write_pct_arg
+      $ duration_arg $ requests_arg $ warmup_arg $ write_pct_arg
       $ json_arg $ verbosity_arg)
 
 let explain_cmd =
@@ -1165,9 +1151,6 @@ let client_cmd =
     Term.(const go $ socket_arg)
 
 let () =
-  (* Quiesce pool workers on every exit path (including subcommand
-     failures), so no idle domain taxes final GC sections. *)
-  at_exit Relalg.Domain_pool.shutdown;
   let info =
     Cmd.info "pascalr" ~version:"1.0.0"
       ~doc:"PASCAL/R relational query processing strategies (SIGMOD 1982)"

@@ -195,7 +195,7 @@ let fused_ops = [ "select"; "project"; "join"; "product"; "dedup" ]
 let materialized_ops =
   [ "select"; "project"; "join"; "product"; "union"; "divide"; "stream" ]
 
-let combination_json () =
+let combination_json a =
   let open Obs.Json in
   let tally prefix ops =
     Obj
@@ -211,51 +211,19 @@ let combination_json () =
         Int (Obs.Metrics.counter_value "combination.join_rows_out") );
       ("fused", tally "algebra.fused." fused_ops);
       ("materialized", tally "algebra.materialized." materialized_ops);
-      (* Vectorized-kernel traffic: rows entering / surviving the
-         batched chains, and the wall time spent inside the kernel
-         loops.  All zero when batch_size = 1 (scalar execution). *)
+      (* Vectorized-kernel traffic: the window size the analysis ran
+         under, rows entering / surviving the batched chains, and the
+         wall time spent inside the kernel loops.  All counters are zero
+         when batch_size = 1 (scalar execution). *)
       ( "batch",
         Obj
           [
+            ("batch_size", Int a.a_opts.Exec_opts.batch_size);
             ("rows_in", Int (Obs.Metrics.counter_value "algebra.batch.rows_in"));
             ( "rows_out",
               Int (Obs.Metrics.counter_value "algebra.batch.rows_out") );
             ( "kernel_ns",
               Int (Obs.Metrics.counter_value "algebra.batch.kernel_ns") );
-          ] );
-    ]
-
-(* Multicore activity: the parallelism budget the analysis ran under and
-   what the domain pool actually did with it.  Operator calls that ran
-   partitioned tally under both algebra.par.* and algebra.materialized.*,
-   so the serial count per operator is (materialized - par); under
-   jobs = 1 every par counter is 0 and "serial" equals the materialized
-   tally. *)
-let par_ops = [ "select"; "project"; "join"; "join_build"; "product"; "stream" ]
-
-let parallel_json a =
-  let open Obs.Json in
-  let c = Obs.Metrics.counter_value in
-  let seq_of op =
-    match op with
-    | "join_build" -> 0 (* build side of a par join; no serial analogue *)
-    | _ -> max 0 (c ("algebra.materialized." ^ op) - c ("algebra.par." ^ op))
-  in
-  Obj
-    [
-      ("jobs", Int a.a_opts.Exec_opts.jobs);
-      ("par_threshold", Int a.a_opts.Exec_opts.par_threshold);
-      ("batch_size", Int a.a_opts.Exec_opts.batch_size);
-      ("tasks", Int (c "parallel.tasks"));
-      ("chunks", Int (c "parallel.chunks"));
-      ("collection_builds", Int (c "parallel.collection_builds"));
-      ( "operators",
-        Obj
-          [
-            ( "par",
-              Obj (List.map (fun op -> (op, Int (c ("algebra.par." ^ op)))) par_ops)
-            );
-            ("seq", Obj (List.map (fun op -> (op, Int (seq_of op))) par_ops));
           ] );
     ]
 
@@ -283,8 +251,10 @@ let plan_cache_json a =
    activity) and the WAL/txn fault counters.  5: exec.access_paths
    (per collection structure: probe/range/scan) and exec.join_algos
    (per streaming join step: nlj/hash/batched-nlj) of the adaptive
-   access-path and join-algorithm selection. *)
-let schema_version = 5
+   access-path and join-algorithm selection.  6: the "parallel" section
+   and flight_recorder.recent[].jobs removed with intra-query
+   parallelism; batch_size moved to combination.batch.batch_size. *)
+let schema_version = 6
 
 (* The last execution's unified result, as the executor reported it:
    the phase split from the execution clock, the plan-cache outcome of
@@ -347,8 +317,7 @@ let to_json ~database ~scale db q a =
           (List.map
              (fun (k, n) -> (k, Int n))
              a.a_report.Exec_result.intermediates) );
-      ("combination", combination_json ());
-      ("parallel", parallel_json a);
+      ("combination", combination_json a);
       ("faults", faults_json ());
       ("plan_cache", plan_cache_json a);
       ( "stats",

@@ -52,12 +52,15 @@ val schema_version : int
     itself, the cumulative per-digest [stats] section, the
     [flight_recorder] section, and made [plan_cache.hit_rate] a number
     (0.0 instead of null on zero lookups).  4 added the [exec] section
-    (the unified {!Exec_result.t}) and the WAL/txn fault counters. *)
+    (the unified {!Exec_result.t}) and the WAL/txn fault counters.  6
+    dropped the [parallel] section and [flight_recorder.recent[].jobs];
+    [batch_size] is reported under [combination.batch]. *)
 
 val to_json : database:string -> scale:int -> Database.t -> Calculus.query -> t -> Obs.Json.t
 (** The full analyze document: query, strategy, totals, per-phase rows,
-    intermediates, parallel-execution activity (jobs, tasks, chunks,
-    par vs seq operator tallies), fault/recovery counters, plan-cache
+    intermediates, combination-engine activity (join rows, fused and
+    materialized operator tallies, batch kernels), fault/recovery
+    counters, plan-cache
     activity, cumulative per-digest stats, flight-recorder contents,
     plan and span trace. *)
 

@@ -68,15 +68,14 @@ let ntuple_schema (plan : Plan.t) order =
 
 (* Join two reference relations on their shared variable columns
    (natural join); disjoint column sets degrade to a Cartesian
-   product.  [?par] (inherited from the collection's Exec_opts budget)
-   turns the joins partitioned-parallel above the threshold. *)
-let combine ?par a b = Algebra.natural_join ?par ~name:"refrel" a b
+   product. *)
+let combine a b = Algebra.natural_join ~name:"refrel" a b
 
 (* Combine the components of one conjunction, greedily preferring
    components that share a variable with the accumulated result so that
    products are only used when the conjunction is genuinely
    disconnected. *)
-let combine_conjunction ?par components =
+let combine_conjunction components =
   let shares acc_cols comp_cols =
     List.exists (fun c -> List.mem c acc_cols) comp_cols
   in
@@ -89,10 +88,10 @@ let combine_conjunction ?par components =
         List.partition (fun c -> shares acc_cols (columns (rel_of c))) remaining
       in
       (match connected with
-      | c :: others -> go (combine ?par acc (rel_of c)) (others @ rest)
+      | c :: others -> go (combine acc (rel_of c)) (others @ rest)
       | [] -> (
         match rest with
-        | c :: others -> go (combine ?par acc (rel_of c)) others
+        | c :: others -> go (combine acc (rel_of c)) others
         | [] -> acc))
   in
   match components with
@@ -102,26 +101,24 @@ let combine_conjunction ?par components =
 (* Pad a combined relation with the base single lists of the variables
    it does not cover, producing an n-tuple relation over [order]. *)
 let pad coll order rel_opt =
-  let par = Collection.par coll in
   let covered = match rel_opt with None -> [] | Some r -> columns r in
   let missing = List.filter (fun v -> not (List.mem v covered)) order in
   let padded =
     List.fold_left
       (fun acc v ->
         let bl = Collection.base_list coll v in
-        match acc with None -> Some bl | Some r -> Some (combine ?par r bl))
+        match acc with None -> Some bl | Some r -> Some (combine r bl))
       rel_opt missing
   in
   match padded with
   | None -> invalid_arg "Combination.pad: no variables"
-  | Some r -> Algebra.project ?par ~name:"refrel" r order
+  | Some r -> Algebra.project ~name:"refrel" r order
 
 (* Eliminate the quantifier prefix right to left over an n-tuple
    relation: projection for SOME, division by the variable's base single
    list for ALL.  Precondition (established by the adaptation pass): all
    prefix ranges are non-empty. *)
 let eliminate_quantifiers coll (plan : Plan.t) rel =
-  let par = Collection.par coll in
   List.fold_left
     (fun acc (e : Normalize.prefix_entry) ->
       let v = e.Normalize.v in
@@ -131,7 +128,7 @@ let eliminate_quantifiers coll (plan : Plan.t) rel =
         (fun () ->
           let reduced =
             match e.Normalize.q with
-            | Normalize.Q_some -> Algebra.project ?par ~name:"refrel" acc remaining
+            | Normalize.Q_some -> Algebra.project ~name:"refrel" acc remaining
             | Normalize.Q_all ->
               let divisor = Collection.base_list coll v in
               Algebra.divide ~name:"refrel" ~on:[ (v, v) ] acc divisor
@@ -143,7 +140,6 @@ let eliminate_quantifiers coll (plan : Plan.t) rel =
     (List.rev plan.Plan.prefix)
 
 let evaluate_declaration coll (plan : Plan.t) grow =
-  let par = Collection.par coll in
   let order = Plan.variable_order plan in
   let free_names = List.map fst plan.Plan.free in
   let conj_rels =
@@ -151,7 +147,7 @@ let evaluate_declaration coll (plan : Plan.t) grow =
       (fun i conj ->
         Obs.Trace.with_span (Fmt.str "conjunction %d" i) (fun () ->
             let components = Collection.components coll conj in
-            let r = pad coll order (combine_conjunction ?par components) in
+            let r = pad coll order (combine_conjunction components) in
             grow (Relation.cardinality r);
             Obs.Trace.add_attr "ntuples"
               (Obs.Json.Int (Relation.cardinality r));
@@ -168,7 +164,7 @@ let evaluate_declaration coll (plan : Plan.t) grow =
   in
   grow (Relation.cardinality unioned);
   let reduced = eliminate_quantifiers coll plan unioned in
-  Algebra.project ?par ~name:"refrel" reduced free_names
+  Algebra.project ~name:"refrel" reduced free_names
 
 (* ------------------------------------------------------------------ *)
 (* Streaming cost-ordered engine (default).                            *)
@@ -227,7 +223,6 @@ let pad_to coll target rel =
         missing
     in
     Stream.materialize
-      ?par:(Collection.par coll)
       ~batch_size:(Collection.batch_size coll)
       ~name:"refrel" (Stream.project s target)
   end
@@ -245,7 +240,6 @@ let impl_of_algo = function
 
 let combine_streaming ?force_join ~label ~record coll (plan : Plan.t) order
     components =
-  let par = Collection.par coll in
   match List.map rel_of components with
   | [] -> None
   | rels ->
@@ -338,7 +332,7 @@ let combine_streaming ?force_join ~label ~record coll (plan : Plan.t) order
         else Stream.project stream out_cols
       in
       Some
-        (Stream.materialize ?par
+        (Stream.materialize
            ~batch_size:(Collection.batch_size coll)
            ~name:"refrel" stream)
     end
@@ -578,7 +572,6 @@ let eliminate_all_batched coll (plan : Plan.t) grow ~v ~common cohort =
    conjunction relations (heterogeneous column sets); see the header
    comment for the two distribution identities this rests on. *)
 let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
-  let par = Collection.par coll in
   let order = Plan.variable_order plan in
   List.fold_left
     (fun djs (e : Normalize.prefix_entry) ->
@@ -602,7 +595,7 @@ let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
                       (* ∃v over a one-column disjunct is a boolean *)
                       if Relation.is_empty d then None
                       else Some (true_disjunct coll plan)
-                    else Some (Algebra.project ?par ~name:"refrel" d remaining))
+                    else Some (Algebra.project ~name:"refrel" d remaining))
                 djs
             | Normalize.Q_all -> (
               let cohort, others = List.partition (fun d -> has_col d v) djs in

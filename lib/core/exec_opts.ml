@@ -5,14 +5,10 @@
 type t = {
   strategy : Strategy.t;
   join_order : Combination.join_order;
-  jobs : int;
-  par_threshold : int;
   batch_size : int;
   use_index : bool;
   force_join : Cost.join_algo option;
 }
-
-let default_par_threshold = 4096
 
 (* Secondary-index access paths are on unless PASCALR_NO_INDEX is set
    to something truthy — the forced-heap-scan CI leg and the
@@ -34,46 +30,19 @@ let default_batch_size =
     | Some _ | None -> 2048)
   | None -> 2048
 
-(* Default worker count: the PASCALR_JOBS environment variable (how the
-   CI matrix pins both the serial and the 4-domain suite) if set to a
-   positive integer, otherwise what the hardware offers. *)
-let default_jobs =
-  match Sys.getenv_opt "PASCALR_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> max 1 (Domain.recommended_domain_count ()))
-  | None -> max 1 (Domain.recommended_domain_count ())
-
 let default =
   {
     strategy = Strategy.full;
     join_order = Combination.Cost_ordered;
-    jobs = default_jobs;
-    par_threshold = default_par_threshold;
     batch_size = default_batch_size;
     use_index = default_use_index;
     force_join = None;
   }
 
-let make ?(strategy = Strategy.full)
-    ?(join_order = Combination.Cost_ordered) ?(jobs = default_jobs)
-    ?(par_threshold = default_par_threshold)
+let make ?(strategy = Strategy.full) ?(join_order = Combination.Cost_ordered)
     ?(batch_size = default_batch_size) ?(use_index = default_use_index)
     ?force_join () =
-  {
-    strategy;
-    join_order;
-    jobs = max 1 jobs;
-    par_threshold = max 0 par_threshold;
-    batch_size = max 1 batch_size;
-    use_index;
-    force_join;
-  }
-
-let par t =
-  if t.jobs <= 1 then None
-  else Some { Relalg.Domain_pool.jobs = t.jobs; threshold = t.par_threshold }
+  { strategy; join_order; batch_size = max 1 batch_size; use_index; force_join }
 
 let join_order_to_string = function
   | Combination.Cost_ordered -> "ordered"
@@ -85,19 +54,18 @@ let join_order_of_string = function
   | _ -> None
 
 (* Injective over the record: each strategy flag has its own token in
-   Strategy.to_string, the join order follows after '/', then the
-   parallelism and batching knobs.  jobs, par_threshold and batch_size
-   are part of the fingerprint — and hence of every plan-cache key — so
-   plans prepared under different execution settings never collide in
-   the cache.  The physical-choice overrides append tokens only when
-   set off their defaults (no index / forced join algorithm), keeping
-   default fingerprints stable across versions while still separating
+   Strategy.to_string, the join order follows after '/', then the batch
+   size.  The fingerprint is part of every plan-cache key, so plans
+   prepared under different execution settings never collide in the
+   cache.  The physical-choice overrides append tokens only when set off
+   their defaults (no index / forced join algorithm), keeping default
+   fingerprints stable across versions while still separating
    overridden plans in the cache. *)
 let fingerprint t =
-  Fmt.str "%s/%s/j%d/t%d/b%d%s%s"
+  Fmt.str "%s/%s/b%d%s%s"
     (Strategy.to_string t.strategy)
     (join_order_to_string t.join_order)
-    t.jobs t.par_threshold t.batch_size
+    t.batch_size
     (if t.use_index then "" else "/ix0")
     (match t.force_join with
     | None -> ""

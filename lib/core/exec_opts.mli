@@ -5,12 +5,6 @@ type t = {
   strategy : Strategy.t;  (** which of the paper's strategies to enable *)
   join_order : Combination.join_order;
       (** combination-phase join ordering *)
-  jobs : int;
-      (** domains executing one query, caller included; [1] = the
-          byte-identical serial engine, no pool, no snapshots *)
-  par_threshold : int;
-      (** input cardinality below which partitioned operators stay
-          serial — chunking tiny inputs costs more than it saves *)
   batch_size : int;
       (** window size of the vectorized stream kernels; [1] runs the
           scalar per-tuple emit (the differential oracle) *)
@@ -25,15 +19,10 @@ type t = {
 }
 
 val default : t
-(** {!Strategy.full} with {!Combination.Cost_ordered} joins; [jobs]
-    from the [PASCALR_JOBS] environment variable if set to a positive
-    integer, else [Domain.recommended_domain_count ()]; [par_threshold]
-    4096; [batch_size] from [PASCALR_BATCH_SIZE] if set to a positive
+(** {!Strategy.full} with {!Combination.Cost_ordered} joins;
+    [batch_size] from [PASCALR_BATCH_SIZE] if set to a positive
     integer, else 2048; [use_index] true unless [PASCALR_NO_INDEX] is
     set truthy; [force_join] [None]. *)
-
-val default_jobs : int
-(** The resolved [jobs] default described under {!default}. *)
 
 val default_batch_size : int
 (** The resolved [batch_size] default described under {!default}. *)
@@ -44,28 +33,18 @@ val default_use_index : bool
 val make :
   ?strategy:Strategy.t ->
   ?join_order:Combination.join_order ->
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?batch_size:int ->
   ?use_index:bool ->
   ?force_join:Cost.join_algo ->
   unit ->
   t
-(** [jobs] and [batch_size] are clamped to at least 1, [par_threshold]
-    to at least 0. *)
-
-val par : t -> Relalg.Domain_pool.par option
-(** The parallelism budget the engine threads to {!Relalg.Algebra} and
-    the collection phase — [None] when [jobs = 1], which is what makes
-    the serial path bypass the pool entirely. *)
+(** [batch_size] is clamped to at least 1. *)
 
 val join_order_to_string : Combination.join_order -> string
 val join_order_of_string : string -> Combination.join_order option
 
 val fingerprint : t -> string
 (** Injective textual form; part of the plan-cache key, because every
-    option can change the compiled plan — and [jobs]/[par_threshold]
-    must keep plans cached under different parallelism settings from
-    colliding. *)
+    option can change the compiled plan. *)
 
 val pp : t Fmt.t

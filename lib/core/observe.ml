@@ -124,7 +124,6 @@ let run ~digest ~text ~opts ~rows_of f =
         fr_combination_ms = !comb_ms;
         fr_construction_ms = !cons_ms;
         fr_rows = rows_of result;
-        fr_jobs = opts.Exec_opts.jobs;
         fr_scans = d (fun w -> w.w_scans);
         fr_probes = d (fun w -> w.w_probes);
         fr_index_probes = d (fun w -> w.w_index_probes);

@@ -158,7 +158,6 @@ let exec_in ?name ~params (clock : Observe.clock) db t =
   let plan = ground t db params in
   let coll =
     Collection.create
-      ?par:(Exec_opts.par t.p_opts)
       ~batch_size:t.p_opts.Exec_opts.batch_size
       ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
       plan
@@ -191,7 +190,6 @@ let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
   let plan = ground t db params in
   let coll =
     Collection.create
-      ?par:(Exec_opts.par t.p_opts)
       ~batch_size:t.p_opts.Exec_opts.batch_size
       ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
       plan

@@ -1,8 +1,8 @@
 (* Always-on flight recorder: a bounded ring of per-execution records.
 
    Every Session / Prepared execution appends one fixed-shape record —
-   digest, options fingerprint, wall and per-phase times, rows, jobs,
-   and the top storage counters for that execution — at the cost of one
+   digest, options fingerprint, wall and per-phase times, rows, and
+   the top storage counters for that execution — at the cost of one
    array store.  When the ring is full the oldest record is overwritten;
    [total] / [dropped] keep the bookkeeping honest.
 
@@ -22,7 +22,6 @@ type record = {
   fr_combination_ms : float;
   fr_construction_ms : float;
   fr_rows : int;
-  fr_jobs : int;
   fr_scans : int;  (* relation.scans delta *)
   fr_probes : int;  (* relation.probes delta *)
   fr_index_probes : int;  (* index.probes delta *)
@@ -127,7 +126,6 @@ let record_to_json r =
             ("construction", Json.Float r.fr_construction_ms);
           ] );
       ("rows", Json.Int r.fr_rows);
-      ("jobs", Json.Int r.fr_jobs);
       ( "counters",
         Json.Obj
           [
@@ -151,7 +149,7 @@ let to_json ?n () =
     ]
 
 let pp_record ppf r =
-  Fmt.pf ppf "%-10s %8.3f ms  (coll %.3f / comb %.3f / cons %.3f)  %6d rows  j%d"
+  Fmt.pf ppf "%-10s %8.3f ms  (coll %.3f / comb %.3f / cons %.3f)  %6d rows"
     (String.sub r.fr_digest 0 (Stdlib.min 10 (String.length r.fr_digest)))
     r.fr_wall_ms r.fr_collection_ms r.fr_combination_ms r.fr_construction_ms
-    r.fr_rows r.fr_jobs
+    r.fr_rows

@@ -2,7 +2,7 @@
 
     A bounded ring buffer of fixed-shape per-execution records — digest,
     exec-options fingerprint, wall and per-phase milliseconds, result
-    rows, worker count, and the top storage counters for that execution.
+    rows, and the top storage counters for that execution.
     Recording is one array store behind a mutex, cheap enough to leave
     on permanently; when the ring fills, the oldest record is
     overwritten and {!dropped} counts what fell off.
@@ -24,7 +24,6 @@ type record = {
   fr_combination_ms : float;
   fr_construction_ms : float;
   fr_rows : int;
-  fr_jobs : int;
   fr_scans : int;  (** [relation.scans] delta over the execution *)
   fr_probes : int;  (** [relation.probes] delta *)
   fr_index_probes : int;  (** [index.probes] delta *)

@@ -4,7 +4,7 @@
    is what keeps merging trivial and order-blind: pooling two histograms
    is element-wise addition of their bucket arrays plus count/sum
    addition and min/max widening — commutative and associative, so the
-   domain pool can fold worker deltas in any order.
+   traffic driver can fold its clients' histograms in any order.
 
    Layout: [buckets_per_decade] log-spaced buckets per decade between
    10^lo_exp and 10^hi_exp, plus an underflow bucket (index 0, catching

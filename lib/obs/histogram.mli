@@ -4,7 +4,7 @@
     log-spaced buckets per decade over [10^lo, 10^hi) plus underflow
     and overflow buckets — so pooling two histograms is element-wise
     bucket addition: commutative and associative, the property the
-    domain-pool metric merge relies on.
+    traffic driver's per-client merge relies on.
 
     Quantiles are estimated by a cumulative walk with linear
     interpolation inside the holding bucket, clamped to the recorded

@@ -22,12 +22,10 @@ type instrument =
 
 type snapshot = (string * datum) list
 
-(* One registry per domain.  The engine proper runs on the main domain
-   (whose registry this module behaves exactly as the old global one);
-   Domain_pool workers get a private registry each, so instrumentation
-   sites deep in the stack stay lock-free.  Worker activity reaches the
-   main registry as a {!snapshot} delta {!merge}d at the pool's join
-   point. *)
+(* One registry per domain.  Each domain that runs queries — the main
+   one, a traffic-driver client, a server connection — reports into its
+   own registry, so instrumentation sites deep in the stack stay
+   lock-free. *)
 let registry_key : (string, instrument) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
@@ -129,39 +127,6 @@ let diff ~before ~after =
                 } )
       | Histogram h, _ -> if h.count = 0 then None else Some (name, Histogram h))
     after
-
-(* Fold a delta (typically a worker-domain {!diff}) into this domain's
-   registry.  Every combination rule is commutative and associative —
-   counters add, gauges keep the high-water mark, histograms pool their
-   summaries — so the merge order of a batch of worker deltas cannot be
-   observed, which is what keeps parallel runs' totals deterministic. *)
-let merge (delta : snapshot) =
-  let registry = registry () in
-  List.iter
-    (fun (name, d) ->
-      match d, Hashtbl.find_opt registry name with
-      | Counter by, _ -> incr ~by name
-      | Gauge v, _ -> gauge_max name v
-      | Histogram h, Some (I_histogram cur) ->
-        cur.count <- cur.count + h.count;
-        cur.sum <- cur.sum +. h.sum;
-        if h.min < cur.min then cur.min <- h.min;
-        if h.max > cur.max then cur.max <- h.max;
-        Array.iteri
-          (fun i c -> if i < Array.length cur.buckets then
-              cur.buckets.(i) <- cur.buckets.(i) + c)
-          h.buckets
-      | Histogram h, _ ->
-        Hashtbl.replace registry name
-          (I_histogram
-             {
-               count = h.count;
-               sum = h.sum;
-               min = h.min;
-               max = h.max;
-               buckets = Array.copy h.buckets;
-             }))
-    delta
 
 let find snap name = List.assoc_opt name snap
 

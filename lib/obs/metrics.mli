@@ -12,16 +12,15 @@
     - gauges: last-written floats, with a high-water variant
       ({!set_gauge}, {!gauge_max});
     - histograms: count/sum/min/max summaries plus log-spaced
-      {!Histogram} buckets, so pooled quantiles survive snapshotting
-      and the domain-pool merge ({!observe}).
+      {!Histogram} buckets, so quantiles survive snapshotting
+      ({!observe}).
 
     The registry is per-domain (domain-local storage) and not
     thread-safe within a domain — the engine proper runs on the main
     domain, and one ambient registry is what lets deep layers (the
     storage substrate) report without plumbing a handle through every
-    signature.  {!Relalg.Domain_pool} workers each write to their own
-    private registry; their activity reaches the caller's registry as a
-    {!diff} delta folded in with {!merge} at the pool's join point. *)
+    signature.  Every other domain that runs queries (traffic-driver
+    clients, server connections) writes to its own private registry. *)
 
 type datum =
   | Counter of int
@@ -60,13 +59,6 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     subtract; histogram min/max are taken from [after]; gauges keep
     their [after] value and appear only if they changed (or are new).
     Instruments with no activity in the window are dropped. *)
-
-val merge : snapshot -> unit
-(** Fold a delta (a worker domain's {!diff}) into this domain's
-    registry: counters add, gauges take the high-water mark, histograms
-    pool count/sum/min/max.  All rules are commutative and associative,
-    so the order in which a batch of worker deltas is merged cannot be
-    observed. *)
 
 val find : snapshot -> string -> datum option
 val get_counter : snapshot -> string -> int

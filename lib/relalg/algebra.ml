@@ -14,39 +14,13 @@ let fresh_name base = base
    the operators it avoided materializing under [algebra.fused.*]. *)
 let tally op = Obs.Metrics.incr ("algebra.materialized." ^ op)
 
-(* Partitioned operators report under [algebra.par.*]; an operator call
-   that stayed serial (no [par], [jobs=1], or input under the
-   threshold) only shows in the [algebra.materialized.*] tally, so
-   par/seq counts are recoverable as (par) vs (materialized - par). *)
-let tally_par op = Obs.Metrics.incr ("algebra.par." ^ op)
-
-(* The partitioned-evaluation skeleton shared by the classic operators:
-   snapshot the input once (a counted scan, the same read the serial
-   operator performs), let each worker compute a private result list
-   for one contiguous chunk, then replay the per-chunk results on the
-   caller in chunk order.  The caller-side replay reproduces the serial
-   operator's exact insertion sequence, so the output relation — its
-   contents, its iteration order, and any key-violation error — is
-   identical for every [jobs] value. *)
-let par_chunks p rel per_tuple =
-  let src = Relation.to_array rel in
-  Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs src (fun _ chunk ->
-      let buf = ref [] in
-      Array.iter (fun t -> per_tuple (fun x -> buf := x :: !buf) t) chunk;
-      List.rev !buf)
-
-let select ?par ?(name = fresh_name "select") pred rel =
+let select ?(name = fresh_name "select") pred rel =
   tally "select";
   let out = Relation.create ~name (Relation.schema rel) in
-  (match Domain_pool.active par (Relation.cardinality rel) with
-  | Some p ->
-    tally_par "select";
-    par_chunks p rel (fun emit t -> if pred t then emit t)
-    |> List.iter (List.iter (Relation.insert out))
-  | None -> Relation.scan (fun t -> if pred t then Relation.insert out t) rel);
+  Relation.scan (fun t -> if pred t then Relation.insert out t) rel;
   out
 
-let project ?par ?(name = fresh_name "project") rel names =
+let project ?(name = fresh_name "project") rel names =
   tally "project";
   let schema = Relation.schema rel in
   let out_schema = Schema.project schema names in
@@ -54,13 +28,7 @@ let project ?par ?(name = fresh_name "project") rel names =
     Array.of_list (List.map (Schema.index_of schema) names)
   in
   let out = Relation.create ~name out_schema in
-  (match Domain_pool.active par (Relation.cardinality rel) with
-  | Some p ->
-    tally_par "project";
-    par_chunks p rel (fun emit t -> emit (Tuple.project positions t))
-    |> List.iter (List.iter (Relation.insert out))
-  | None ->
-    Relation.scan (fun t -> Relation.insert out (Tuple.project positions t)) rel);
+  Relation.scan (fun t -> Relation.insert out (Tuple.project positions t)) rel;
   out
 
 let rename ?(name = fresh_name "rename") rel mapping =
@@ -68,24 +36,17 @@ let rename ?(name = fresh_name "rename") rel mapping =
   Relation.iter (Relation.insert out) rel;
   out
 
-let product ?par ?(name = fresh_name "product") a b =
+let product ?(name = fresh_name "product") a b =
   tally "product";
   let out_schema = Schema.concat (Relation.schema a) (Relation.schema b) in
   let out = Relation.create ~name out_schema in
   (* Materialize the inner side once; scanning it per outer element would
      distort the scan counters the experiments report. *)
   let inner = Relation.scan_fold (fun acc t -> t :: acc) [] b in
-  (match Domain_pool.active par (Relation.cardinality a) with
-  | Some p ->
-    tally_par "product";
-    par_chunks p a (fun emit ta ->
-        List.iter (fun tb -> emit (Tuple.concat ta tb)) inner)
-    |> List.iter (List.iter (Relation.insert out))
-  | None ->
-    Relation.scan
-      (fun ta ->
-        List.iter (fun tb -> Relation.insert out (Tuple.concat ta tb)) inner)
-      a);
+  Relation.scan
+    (fun ta ->
+      List.iter (fun tb -> Relation.insert out (Tuple.concat ta tb)) inner)
+    a;
   out
 
 (* θ-join: product restricted by an arbitrary predicate over the paired
@@ -192,11 +153,11 @@ let nested_loop_join ?(name = fresh_name "nl_join") ~on a b =
 
 (* Natural join: equi-join on the shared attribute names, with the
    duplicated columns of the right side projected away. *)
-let natural_join ?par ?(name = fresh_name "natural_join") a b =
+let natural_join ?(name = fresh_name "natural_join") a b =
   let sa = Relation.schema a and sb = Relation.schema b in
   let shared = List.filter (fun n -> Schema.mem sa n) (Schema.names sb) in
   match shared with
-  | [] -> product ?par ~name a b
+  | [] -> product ~name a b
   | _ ->
     tally "join";
     let pa = positions_of sa shared and pb = positions_of sb shared in
@@ -211,43 +172,18 @@ let natural_join ?par ?(name = fresh_name "natural_join") a b =
     in
     let out = Relation.create ~name out_schema in
     let table = Value_key.acreate (max 16 (Relation.cardinality b)) in
-    (* Build side: workers compute the join keys for their chunk; the
-       caller replays the (key, tuple) pairs in chunk order, giving
-       every hash bucket the same contents in the same order as the
-       serial single-scan build. *)
-    (match Domain_pool.active par (Relation.cardinality b) with
-    | Some p ->
-      tally_par "join_build";
-      par_chunks p b (fun emit tb -> emit (join_key pb tb, tb))
-      |> List.iter
-           (List.iter (fun (key, tb) -> Value_key.add_multi_a table key tb))
-    | None ->
-      Relation.scan (fun tb -> Value_key.add_multi_a table (join_key pb tb) tb) b);
-    (* Probe side: the table is read-only from here on, so workers probe
-       it concurrently and buffer their chunk's output tuples. *)
-    (match Domain_pool.active par (Relation.cardinality a) with
-    | Some p ->
-      tally_par "join";
-      par_chunks p a (fun emit ta ->
-          List.iter
-            (fun tb ->
-              emit
-                (if keep_b = [] then ta
-                 else Tuple.concat_project ta keep_positions tb))
-            (Value_key.find_multi_a table (join_key pa ta)))
-      |> List.iter (List.iter (Relation.insert out))
-    | None ->
-      Relation.scan
-        (fun ta ->
-          List.iter
-            (fun tb ->
-              let combined =
-                if keep_b = [] then ta
-                else Tuple.concat_project ta keep_positions tb
-              in
-              Relation.insert out combined)
-            (Value_key.find_multi_a table (join_key pa ta)))
-        a);
+    Relation.scan (fun tb -> Value_key.add_multi_a table (join_key pb tb) tb) b;
+    Relation.scan
+      (fun ta ->
+        List.iter
+          (fun tb ->
+            let combined =
+              if keep_b = [] then ta
+              else Tuple.concat_project ta keep_positions tb
+            in
+            Relation.insert out combined)
+          (Value_key.find_multi_a table (join_key pa ta)))
+      a;
     out
 
 let require_same_shape op a b =
@@ -374,60 +310,35 @@ let divide ?(name = fresh_name "divide") ~on r s =
    Joins hash the materialized build side once (lazily, inside the
    single [emit] run) and probe it with the streamed tuples. *)
 module Stream = struct
-  (* Alongside the serial [emit], a stream carries an optional
-     *partitionable* description of itself: the source relation it
-     pulls from, a caller-side [pc_prime] that performs the shared
-     one-time work (forcing join build tables, bumping the per-run
-     fused tallies and build-side row counters), and [pc_stage], which
-     manufactures a fresh per-worker instance of the whole consumer
-     chain.  {!materialize} uses it to run the chain over per-domain
-     chunks of the source: each instance is private to its chunk, the
-     shared tables it reads were forced before the fork, and the
-     chunk results concatenate in order — reproducing the serial
-     emission sequence exactly.  Combinators that cannot be expressed
-     this way (opaque sources) drop the description and the chain
-     falls back to the serial [emit]. *)
-  type stage = {
-    feed : (Tuple.t -> unit) -> Tuple.t -> unit;
-    flush : unit -> unit;
-        (* report this instance's row counters to (this domain's)
-           metrics registry — called once, after its chunk is fed *)
-  }
-
-  type par_chain = {
-    pc_src : Relation.t;
-    pc_prime : unit -> unit;
-    pc_stage : unit -> stage;
-  }
-
-  (* The batched (columnar) description of the same chain.  The source
-     relation is encoded once into column arrays and driven through the
-     chain in windows of [batch_size] rows; each operator is a kernel
-     over batches (selection vectors, column shares, integer-keyed hash
-     tables) instead of a per-tuple callback.  [bt_force] performs the
-     encodes of every build side (it may raise {!Batch.Unbatchable}, in
-     which case {!materialize} falls back to the scalar emit before any
-     counter has moved); [bt_prime] bumps the per-run tallies exactly as
-     the scalar emit would; [bt_stage] manufactures a fresh per-worker
-     kernel instance, mirroring [pc_stage].  Kernels reproduce the
-     scalar emission order exactly — see each operator's comment. *)
+  (* Alongside the scalar [emit], a stream carries an optional batched
+     (columnar) description of itself.  The source relation is encoded
+     once into column arrays and driven through the chain in windows of
+     [batch_size] rows; each operator is a kernel over batches
+     (selection vectors, column shares, integer-keyed hash tables)
+     instead of a per-tuple callback.  [bt_force] performs the encodes
+     of every build side (it may raise {!Batch.Unbatchable}, in which
+     case {!materialize} falls back to the scalar emit before any
+     counter has moved); [bt_stage] instantiates the kernel chain once
+     the build sides are forced, bumping each operator's per-run tallies
+     exactly as the scalar emit would.  Kernels reproduce the scalar
+     emission order exactly — see each operator's comment. *)
   type bstage = {
     bfeed : (Batch.t -> unit) -> Batch.t -> unit;
     bflush : unit -> unit;
+        (* report the instance's row counters — called once, after the
+           last window is fed *)
   }
 
   type bat_chain = {
-    bt_src : Relation.t;
     bt_pool : Batch.pool;
     bt_force : unit -> unit;
-    bt_prime : unit -> unit;
     bt_stage : unit -> bstage;
   }
 
   type t = {
     schema : Schema.t;
+    src : Relation.t;  (* the relation the chain pulls from *)
     emit : (Tuple.t -> unit) -> unit;
-    par : par_chain option;
     bat : bat_chain option;
   }
 
@@ -440,37 +351,16 @@ module Stream = struct
     in
     {
       schema = Relation.schema rel;
+      src = rel;
       emit = (fun k -> Relation.iter k rel);
-      par =
-        Some
-          {
-            pc_src = rel;
-            pc_prime = (fun () -> ());
-            pc_stage = (fun () -> { feed = (fun k -> k); flush = (fun () -> ()) });
-          };
       bat =
         Some
           {
-            bt_src = rel;
             bt_pool;
             bt_force = (fun () -> ());
-            bt_prime = (fun () -> ());
             bt_stage =
               (fun () -> { bfeed = (fun k -> k); bflush = (fun () -> ()) });
           };
-    }
-
-  let extend_par pc ~prime ~stage =
-    {
-      pc_src = pc.pc_src;
-      pc_prime =
-        (fun () ->
-          pc.pc_prime ();
-          prime ());
-      pc_stage =
-        (fun () ->
-          let up = pc.pc_stage () in
-          stage up);
     }
 
   let extend_bat bc ~force ~prime ~stage =
@@ -480,13 +370,10 @@ module Stream = struct
         (fun () ->
           bc.bt_force ();
           force ());
-      bt_prime =
-        (fun () ->
-          bc.bt_prime ();
-          prime ());
       bt_stage =
         (fun () ->
           let up = bc.bt_stage () in
+          prime ();
           stage up);
     }
 
@@ -499,16 +386,6 @@ module Stream = struct
         (fun k ->
           fused "select";
           s.emit (fun t -> if pred t then k t));
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () -> fused "select")
-             ~stage:(fun up ->
-               {
-                 feed = (fun k -> up.feed (fun t -> if pred t then k t));
-                 flush = up.flush;
-               }))
-          s.par;
       (* Opaque predicates take boxed tuples, so the kernel decodes each
          live row once and refines the selection vector — downstream
          kernels never look at the dropped rows again. *)
@@ -530,21 +407,12 @@ module Stream = struct
   let project s names =
     let positions = positions_of s.schema names in
     {
+      s with
       schema = Schema.project s.schema names;
       emit =
         (fun k ->
           fused "project";
           s.emit (fun t -> k (Tuple.project positions t)));
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () -> fused "project")
-             ~stage:(fun up ->
-               {
-                 feed = (fun k -> up.feed (fun t -> k (Tuple.project positions t)));
-                 flush = up.flush;
-               }))
-          s.par;
       (* Columnar projection shares the retained column arrays — no
          per-row work at all. *)
       bat =
@@ -561,16 +429,7 @@ module Stream = struct
 
   (* Streaming duplicate elimination: a projection can multiply the rows
      every downstream operator touches, so collapse duplicates as they
-     pass rather than waiting for the materialization's key table.
-
-     In a partitioned run the [seen] table cannot be shared, so each
-     chunk instance deduplicates locally; duplicates whose occurrences
-     straddle chunks survive to the downstream operators and are folded
-     by the materialization's whole-tuple key table.  The output
-     relation is identical (first occurrences arrive in the same order)
-     — only the join row *counters* downstream of a dedup can read
-     higher than the serial run's, by the number of straddling
-     duplicates.  DESIGN.md documents the caveat. *)
+     pass rather than waiting for the materialization's key table. *)
   let dedup s =
     {
       s with
@@ -583,28 +442,10 @@ module Stream = struct
                 Value_key.Atable.replace seen t ();
                 k t
               end));
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () -> fused "dedup")
-             ~stage:(fun up ->
-               let seen = Value_key.acreate 64 in
-               {
-                 feed =
-                   (fun k ->
-                     up.feed (fun t ->
-                         if not (Value_key.Atable.mem seen t) then begin
-                           Value_key.Atable.replace seen t ();
-                           k t
-                         end));
-                 flush = up.flush;
-               }))
-          s.par;
       (* Batched dedup keeps a seen-set of integer rows: hashing machine
          ints instead of re-walking nested reference keys per tuple.
          First occurrences pass in arrival order, so the output matches
-         the scalar path; the per-chunk-instance caveat under [par] is
-         the same as the scalar one above. *)
+         the scalar path. *)
       bat =
         (let arity = Schema.arity s.schema in
          let positions = Array.init arity Fun.id in
@@ -632,9 +473,6 @@ module Stream = struct
 
   let product s rel =
     let out_schema = Schema.concat s.schema (Relation.schema rel) in
-    (* Shared by the chunk instances; forced by [pc_prime] before the
-       fork, read-only afterwards. *)
-    let inner_shared = lazy (Relation.fold (fun acc t -> t :: acc) [] rel) in
     let bat =
       match s.bat with
       | None -> None
@@ -690,6 +528,7 @@ module Stream = struct
                }))
     in
     {
+      s with
       schema = out_schema;
       emit =
         (fun k ->
@@ -705,37 +544,6 @@ module Stream = struct
                 inner);
           Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
           Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () ->
-               fused "product";
-               ignore (Lazy.force inner_shared : Tuple.t list);
-               (* the serial counter starts from the inner cardinality;
-                  instances then count only their own probe rows *)
-               Obs.Metrics.incr
-                 ~by:(Relation.cardinality rel)
-                 "combination.join_rows_in")
-             ~stage:(fun up ->
-               let inner = Lazy.force inner_shared in
-               let n_in = ref 0 and n_out = ref 0 in
-               {
-                 feed =
-                   (fun k ->
-                     up.feed (fun ta ->
-                         incr n_in;
-                         List.iter
-                           (fun tb ->
-                             incr n_out;
-                             k (Tuple.concat ta tb))
-                           inner));
-                 flush =
-                   (fun () ->
-                     up.flush ();
-                     Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                     Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-               }))
-          s.par;
       bat;
     }
 
@@ -758,10 +566,10 @@ module Stream = struct
      cons-built in iteration order and walked front-first — reverse
      iteration order — and the nested-loop inner list is built by a
      consing fold over the same iteration, so per-probe matches surface
-     in the identical order whichever algorithm runs.  The partitioned
-     and batched arms therefore always run the hash machinery: output
-     is byte-identical, and those arms are only active at cardinalities
-     where hashing wins anyway. *)
+     in the identical order whichever algorithm runs.  The batched arm
+     therefore always runs the hash machinery: output is byte-identical,
+     and that arm is only active at cardinalities where hashing wins
+     anyway. *)
   let natural_join ?(impl = Jhash) s rel =
     let sa = s.schema and sb = Relation.schema rel in
     let shared = List.filter (fun n -> Schema.mem sa n) (Schema.names sb) in
@@ -996,169 +804,69 @@ module Stream = struct
             Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
             Obs.Metrics.incr ~by:!n_out "combination.join_rows_out"
       in
-      {
-        schema = out_schema;
-        emit = scalar_emit;
-        par =
-          Option.map
-            (extend_par
-               ~prime:(fun () ->
-                 fused "join";
-                 ignore (Lazy.force table : Tuple.t list Value_key.atable);
-                 Obs.Metrics.incr
-                   ~by:(Relation.cardinality rel)
-                   "combination.join_rows_in")
-               ~stage:(fun up ->
-                 let tbl = Lazy.force table in
-                 let n_in = ref 0 and n_out = ref 0 in
-                 {
-                   feed =
-                     (fun k ->
-                       up.feed (fun ta ->
-                           incr n_in;
-                           probe tbl ta (fun t ->
-                               incr n_out;
-                               k t)));
-                   flush =
-                     (fun () ->
-                       up.flush ();
-                       Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                       Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-                 }))
-            s.par;
-        bat;
-      }
+      { s with schema = out_schema; emit = scalar_emit; bat }
 
   (* The chain's one output relation.  The schema is re-keyed on the
      whole tuple (set semantics, like every intermediate reference
      relation), and the insertions skip the per-value domain check:
      every emitted tuple is a projection/concatenation of tuples from
-     already-checked relations.
-
-     With [?par] active and a partitionable chain whose source clears
-     the threshold, the chain runs once per chunk of the source on the
-     pool: shared state is primed before the fork, each chunk instance
-     buffers its emissions privately, and the buffers are replayed here
-     in chunk order — the same insertion sequence as the serial emit,
-     for every [jobs]. *)
-  let materialize ?par ?(batch_size = 1) ?name s =
-    (* Every arm preallocates the output key table from the source
+     already-checked relations. *)
+  let materialize ?(batch_size = 1) ?name s =
+    (* Both arms preallocate the output key table from the source
        cardinality (the output bound of a select/project/dedup/join
-       chain over it) and replays the same insertion sequence, so the
+       chain over it) and replay the same insertion sequence, so the
        resulting relation iterates identically whichever arm ran. *)
-    let size_hint =
-      match s.par, s.bat with
-      | Some pc, _ -> Relation.cardinality pc.pc_src
-      | None, Some bc -> Relation.cardinality bc.bt_src
-      | None, None -> 0
-    in
     let out_relation () =
-      Relation.create ?name ~size_hint
+      Relation.create ?name ~size_hint:(Relation.cardinality s.src)
         (Schema.make (Schema.attrs s.schema) ~key:[])
     in
-    let serial () =
+    let scalar () =
       Obs.Metrics.incr "algebra.materialized.stream";
       let out = out_relation () in
       s.emit (Relation.insert_unchecked out);
       out
     in
-    let scalar () =
-      match s.par with
-      | None -> serial ()
-      | Some pc -> (
-        match Domain_pool.active par (Relation.cardinality pc.pc_src) with
-        | None -> serial ()
-        | Some p ->
-          Obs.Metrics.incr "algebra.materialized.stream";
-          tally_par "stream";
-          pc.pc_prime ();
-          let src = Relation.to_array_uncounted pc.pc_src in
-          let out = out_relation () in
-          Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs src
-            (fun _ chunk ->
-              let inst = pc.pc_stage () in
-              let buf = ref [] in
-              let consume = inst.feed (fun t -> buf := t :: !buf) in
-              Array.iter consume chunk;
-              inst.flush ();
-              List.rev !buf)
-          |> List.iter (List.iter (Relation.insert_unchecked out));
-          out)
-    in
     (* Batched execution: encode the source once, drive [batch_size]-row
        windows through the kernel chain, decode the surviving rows into
        the output.  [bt_force] runs before any counter moves, so an
-       {!Batch.Unbatchable} encode falls back to the scalar arms with
-       identical observable behaviour.  Under [par] the windows become
-       the fan-out unit — the pool hands each domain whole batches, the
-       kernels run per-chunk instances over read-only shared state, and
-       the decoded buffers replay in chunk order, reproducing the serial
-       sequence exactly (same caveat for dedup counters as the scalar
-       par path). *)
+       {!Batch.Unbatchable} encode falls back to the scalar arm with
+       identical observable behaviour. *)
     let batched bc =
-      let enc = Batch.encode_relation bc.bt_pool bc.bt_src in
+      let enc = Batch.encode_relation bc.bt_pool s.src in
       bc.bt_force ();
       Obs.Metrics.incr "algebra.materialized.stream";
-      bc.bt_prime ();
       let n = Batch.encoded_rows enc in
       let out = out_relation () in
       let rows_out = ref 0 in
       let t0 = Unix.gettimeofday () in
-      (match Domain_pool.active par n with
-      | Some p ->
-        tally_par "stream";
-        let nb = (n + batch_size - 1) / batch_size in
-        let batches =
-          Array.init nb (fun i ->
-              let off = i * batch_size in
-              Batch.of_encoded bc.bt_pool enc ~off
-                ~len:(min batch_size (n - off)))
-        in
-        Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs batches
-          (fun _ chunk ->
-            let inst = bc.bt_stage () in
-            let buf = ref [] in
-            let consume =
-              inst.bfeed (fun ob ->
-                  Batch.live_iter (fun i -> buf := Batch.tuple ob i :: !buf) ob)
-            in
-            Array.iter consume chunk;
-            inst.bflush ();
-            List.rev !buf)
-        |> List.iter
-             (List.iter (fun t ->
-                  incr rows_out;
-                  Relation.insert_unchecked out t))
-      | None ->
-        let inst = bc.bt_stage () in
-        (* Accumulate the inserted rows' integer cells alongside the
-           decode, and register them as the output's insertion-order
-           encode — a later set-semantics pass (the columnar divide)
-           then reuses these columns instead of re-interning the whole
-           intermediate.  The par arm skips this (its chunks decode in
-           the workers), costing only a re-encode on fallback. *)
-        let acc =
-          Batch.acc_create
-            (Array.init (Schema.arity s.schema) (fun c ->
-                 Batch.cls_of_type (Schema.type_at s.schema c)))
-        in
-        let sink ob =
-          Batch.live_iter
-            (fun i ->
-              incr rows_out;
-              let before = Relation.cardinality out in
-              Relation.insert_unchecked out (Batch.tuple ob i);
-              if Relation.cardinality out <> before then Batch.acc_push acc ob i)
-            ob
-        in
-        let off = ref 0 in
-        while !off < n do
-          let len = min batch_size (n - !off) in
-          inst.bfeed sink (Batch.of_encoded bc.bt_pool enc ~off:!off ~len);
-          off := !off + len
-        done;
-        inst.bflush ();
-        Batch.register_unordered bc.bt_pool out (Batch.acc_finish acc));
+      let inst = bc.bt_stage () in
+      (* Accumulate the inserted rows' integer cells alongside the
+         decode, and register them as the output's insertion-order
+         encode — a later set-semantics pass (the columnar divide) then
+         reuses these columns instead of re-interning the whole
+         intermediate. *)
+      let acc =
+        Batch.acc_create
+          (Array.init (Schema.arity s.schema) (fun c ->
+               Batch.cls_of_type (Schema.type_at s.schema c)))
+      in
+      let sink ob =
+        Batch.live_iter
+          (fun i ->
+            incr rows_out;
+            let before = Relation.cardinality out in
+            Relation.insert_unchecked out (Batch.tuple ob i);
+            if Relation.cardinality out <> before then Batch.acc_push acc ob i)
+          ob
+      in
+      let off = ref 0 in
+      while !off < n do
+        let len = min batch_size (n - !off) in
+        inst.bfeed sink (Batch.of_encoded bc.bt_pool enc ~off:!off ~len);
+        off := !off + len
+      done;
+      inst.bflush ();
+      Batch.register_unordered bc.bt_pool out (Batch.acc_finish acc);
       let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
       Obs.Metrics.incr ~by:n "algebra.batch.rows_in";
       Obs.Metrics.incr ~by:!rows_out "algebra.batch.rows_out";

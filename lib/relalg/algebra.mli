@@ -1,33 +1,16 @@
 (** Relational algebra over keyed relations — the operator repertoire of
     the paper's combination phase: join / Cartesian product to combine
     conjunctions, union for the disjunctive form, projection for SOME and
-    division for ALL, plus the semijoin/antijoin pair of Section 4.4.
+    division for ALL, plus the semijoin/antijoin pair of Section 4.4. *)
 
-    Operators taking [?par] have a partitioned parallel form: when the
-    input cardinality clears [par.threshold] and [par.jobs > 1], the
-    input is snapshotted once ({!Relation.to_array}, the same counted
-    read the serial scan performs), split into contiguous per-domain
-    chunks, evaluated chunk-wise on the {!Domain_pool}, and the chunk
-    results replayed on the caller in chunk order — so the output
-    relation (contents *and* iteration order) is identical for every
-    [jobs] value.  Without [?par] (or below the threshold) the code
-    path is the untouched serial one. *)
+val select : ?name:string -> (Tuple.t -> bool) -> Relation.t -> Relation.t
 
-val select :
-  ?par:Domain_pool.par ->
-  ?name:string ->
-  (Tuple.t -> bool) ->
-  Relation.t ->
-  Relation.t
-
-val project :
-  ?par:Domain_pool.par -> ?name:string -> Relation.t -> string list -> Relation.t
+val project : ?name:string -> Relation.t -> string list -> Relation.t
 (** Duplicate-eliminating projection onto the named attributes. *)
 
 val rename : ?name:string -> Relation.t -> (string * string) list -> Relation.t
 
-val product :
-  ?par:Domain_pool.par -> ?name:string -> Relation.t -> Relation.t -> Relation.t
+val product : ?name:string -> Relation.t -> Relation.t -> Relation.t
 (** Cartesian product; attribute names must stay distinct. *)
 
 val theta_join :
@@ -62,12 +45,8 @@ val nested_loop_join :
   Relation.t
 (** Reference nested-loop implementation of the same contract. *)
 
-val natural_join :
-  ?par:Domain_pool.par -> ?name:string -> Relation.t -> Relation.t -> Relation.t
-(** Equi-join on shared names with duplicated columns merged.  The
-    partitioned form chunks both the build side (workers compute join
-    keys, the caller fills the hash table in chunk order) and the probe
-    side (workers probe the then read-only table). *)
+val natural_join : ?name:string -> Relation.t -> Relation.t -> Relation.t
+(** Equi-join on shared names with duplicated columns merged. *)
 
 val union : ?name:string -> Relation.t -> Relation.t -> Relation.t
 val union_all : ?name:string -> Schema.t -> Relation.t list -> Relation.t
@@ -141,15 +120,14 @@ module Stream : sig
   val natural_join : ?impl:join_impl -> t -> Relation.t -> t
   (** Natural join: the stream probes, the relation is the build side.
       [?impl] (default {!Jhash}) selects the scalar algorithm; all
-      three emit the identical tuple sequence, so the partitioned and
-      batched arms always run the hash machinery.  Degenerates to a
+      three emit the identical tuple sequence, so the batched arm
+      always runs the hash machinery.  Degenerates to a
       semijoin when the build side adds no columns, and to {!product}
       when no attribute names are shared. *)
 
   val product : t -> Relation.t -> t
 
-  val materialize :
-    ?par:Domain_pool.par -> ?batch_size:int -> ?name:string -> t -> Relation.t
+  val materialize : ?batch_size:int -> ?name:string -> t -> Relation.t
   (** Run the chain once, collecting into a whole-tuple-keyed relation.
 
       With [batch_size > 1] and a source-rooted chain, the source is
@@ -157,15 +135,5 @@ module Stream : sig
       in [batch_size]-row windows; the output is tuple-for-tuple
       identical to the scalar emit (which remains the [batch_size = 1]
       differential oracle).  A chain that cannot encode (exotic values,
-      mismatched join column classes) silently runs the scalar path.
-
-      With [?par] active and a source clearing the threshold, the chain
-      runs chunk-wise on the {!Domain_pool} — over tuple chunks in
-      scalar mode, over whole batches in batched mode: shared join
-      tables and encodes are built before the fork, each chunk gets a
-      private instance of the consumer chain, and chunk outputs are
-      replayed in order — the output relation is identical to the
-      serial run's for every [jobs].  (Only caveat: a {!dedup} mid-chain
-      deduplicates per chunk, so join row counters downstream of it can
-      read higher than serial; the materialized set is unchanged.) *)
+      mismatched join column classes) silently runs the scalar path. *)
 end

@@ -300,10 +300,6 @@ let acc_create cls =
 let acc_push acc b row =
   Array.iteri (fun c vec -> Ivec.push vec (cell b.cols.(c) row)) acc.a_vecs
 
-(* Append one already-interned cell to one column — for builders that
-   produce integer images directly instead of decoding a batch. *)
-let acc_push_cell acc c x = Ivec.push acc.a_vecs.(c) x
-
 let acc_finish acc =
   let n = if Array.length acc.a_vecs = 0 then 0 else Ivec.length acc.a_vecs.(0) in
   let cols =

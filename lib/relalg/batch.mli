@@ -32,7 +32,6 @@ exception Unbatchable
     well-typed tuples; callers treat it as "fall back to scalar". *)
 
 val create_pool : unit -> pool
-val intern : pool -> Value.t -> int
 val value : pool -> int -> Value.t
 
 type cls = K_int | K_bool | K_obj
@@ -108,10 +107,6 @@ val acc_create : cls array -> acc
 
 val acc_push : acc -> t -> int -> unit
 (** Append the given (physical) row's cells to the accumulator. *)
-
-val acc_push_cell : acc -> int -> int -> unit
-(** [acc_push_cell acc c x] appends the integer image [x] to column
-    [c] — for builders that produce interned ids directly. *)
 
 val acc_finish : acc -> encoded
 

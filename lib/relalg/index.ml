@@ -15,8 +15,8 @@ type t = {
   mutable entry_count : int;
   probes : int Atomic.t;
       (* lookups and comparison walks against this index.  Atomic, not
-         plain mutable: a built index is probed read-only by concurrent
-         Domain_pool workers during parallel collection, and this
+         plain mutable: a permanent index on a shared database is probed
+         read-only by concurrent sessions on other domains, and this
          counter is the one piece of state those probes write. *)
 }
 
@@ -86,31 +86,6 @@ let fold_matching t op probe f init =
         match key with
         | [ v ] ->
           if Value.apply op v probe then List.fold_left f acc refs else acc
-        | _ ->
-          Errors.type_error
-            "comparison probe on a multi-component index over %s" t.source)
-      init t
-
-(* As [fold_matching], but folding whole entries tagged with a stable
-   entry ordinal: the entry's position in [fold_entries] enumeration
-   order, matching the ordinals a prior [fold_entries] walk over the
-   unmodified index would assign.  The vectorized collection builder
-   pre-interns each entry's references once and reuses them across
-   every probe through this fold.  [Eq] probes find their bucket by
-   lookup, not a walk, and report no ordinal.  Probe counting is
-   identical to [fold_matching]. *)
-let fold_matching_entries t op probe f init =
-  match op with
-  | Value.Eq -> f init None (lookup t [ probe ])
-  | Value.Ne | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
-    count_probe t;
-    let ord = ref (-1) in
-    fold_entries
-      (fun acc key refs ->
-        incr ord;
-        match key with
-        | [ v ] ->
-          if Value.apply op v probe then f acc (Some !ord) refs else acc
         | _ ->
           Errors.type_error
             "comparison probe on a multi-component index over %s" t.source)

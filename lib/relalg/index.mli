@@ -45,19 +45,6 @@ val fold_matching :
     @raise Errors.Type_error for comparison probes on multi-component
     indexes. *)
 
-val fold_matching_entries :
-  t ->
-  Value.comparison ->
-  Value.t ->
-  ('a -> int option -> Value.reference list -> 'a) ->
-  'a ->
-  'a
-(** As {!fold_matching}, but folding whole matching entries tagged with
-    a stable entry ordinal — the entry's position in {!fold_entries}
-    enumeration order over the unmodified index.  [Eq] probes find
-    their bucket by lookup rather than a walk and report [None].
-    Probe counting is identical to {!fold_matching}. *)
-
 val exists_matching : t -> Value.comparison -> Value.t -> bool
 (** Existence version of {!fold_matching}, with early exit. *)
 

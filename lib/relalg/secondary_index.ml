@@ -47,8 +47,8 @@ type t = {
          a key span's exact tuple count is one subtraction *)
   mutable sorted_dirty : bool;
   probes : int Atomic.t;
-      (* atomic, not plain mutable: a built index is probed read-only
-         by concurrent Domain_pool workers during parallel collection *)
+      (* atomic, not plain mutable: an index on a shared database is
+         probed read-only by concurrent sessions on other domains *)
 }
 
 let source t = t.source

@@ -276,7 +276,7 @@ type config = {
 }
 
 let config ?(clients = 1) ?(mode = Closed) ?(requests = 100) ?(warmup = 10)
-    ?(seed = 42) ?(opts = Exec_opts.make ~jobs:1 ()) () =
+    ?(seed = 42) ?(opts = Exec_opts.default) () =
   { clients; mode; requests; warmup; seed; opts }
 
 type class_stats = {

@@ -115,16 +115,14 @@ type config = {
   warmup : int;
   seed : int;
   opts : Exec_opts.t;
-      (** per-request execution options.  Default [jobs = 1]: the
-          driver parallelizes across clients, not inside queries, so
-          client domains never contend for the domain pool. *)
+      (** per-request execution options *)
 }
 
 val config :
   ?clients:int -> ?mode:mode -> ?requests:int -> ?warmup:int ->
   ?seed:int -> ?opts:Exec_opts.t -> unit -> config
 (** Defaults: 1 client, [Closed], 100 requests, 10 warmup, seed 42,
-    [Exec_opts] with [jobs = 1]. *)
+    {!Exec_opts.default}. *)
 
 type class_stats = {
   cs_class : string;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard against combination-engine performance regressions.
 
-Two checks:
+Five checks:
 
 1. Compares a freshly measured benchmark run against the committed
    BENCH_results.json and fails if any fully-optimised (s1+s2+s3+s4)
@@ -21,20 +21,13 @@ Two checks:
    medians of several passes measured back to back in one process, so
    machine speed cancels out of the comparison.
 
-3. The B-PAR experiment of the NEW run alone: for every (query, scale)
-   pair, no jobs>1 row may be more than 1.2x slower than the jobs=1
-   row.  Parallel execution is allowed to not help (CI runners may
-   expose a single core, where chunking is pure overhead), but it must
-   never be catastrophically slower than the serial engine it wraps.
-   Rows whose serial median is under 5 ms are skipped as timer noise.
-
-4. The B-VEC experiment of the NEW run alone: for every (query, scale)
+3. The B-VEC experiment of the NEW run alone: for every (query, scale)
    pair, the batched (vectorized kernels) row must not be slower than
    the scalar row.  Both arms are medians measured back to back in one
    process, so machine speed cancels out; rows whose scalar median is
    under 5 ms are skipped as timer noise.
 
-5. The B-INDEX experiment of the NEW run alone: for every (query,
+4. The B-INDEX experiment of the NEW run alone: for every (query,
    scale) pair, the indexed leg (secondary-index probes) must not be
    slower than the scan leg (heap scans, use_index=false); rows whose
    scan median is under 5 ms are held only to an absolute 5 ms bound
@@ -45,7 +38,7 @@ Two checks:
    cell was measured with a single pass, and every p95 guard here
    compares only when both sides carry the column.
 
-6. B-TRAFFIC, baseline vs new, only when BOTH runs carry rows (older
+5. B-TRAFFIC, baseline vs new, only when BOTH runs carry rows (older
    baselines predate the traffic experiment).  Rows are keyed by
    (strategy, pass) — the A-B-A-B interleave records two closed-loop
    and two open-loop passes.  Each new row's achieved throughput must
@@ -127,56 +120,6 @@ def check_prepared(path):
         )
         if not ok:
             failed.append((query, scale))
-    return failed
-
-
-PAR_FACTOR = 1.2
-PAR_NOISE_FLOOR_MS = 5.0
-
-
-def par_rows(path):
-    """B-PAR rows of one run: {(query, scale): {jobs: wall_ms}}."""
-    with open(path) as f:
-        doc = json.load(f)
-    rows = {}
-    for r in doc.get("results", doc if isinstance(doc, list) else []):
-        if r.get("experiment") == "B-PAR":
-            rows.setdefault((r.get("query", ""), r.get("scale", 0)), {})[
-                r.get("jobs", 1)
-            ] = r["wall_ms"]
-    return rows
-
-
-def check_parallel(path):
-    """jobs>1 must stay within PAR_FACTOR of jobs=1, within the new run."""
-    rows = par_rows(path)
-    if not rows:
-        print("B-PAR: no rows in the new run, skipping the parallel check")
-        return []
-    failed = []
-    for (query, scale), cells in sorted(rows.items()):
-        if 1 not in cells:
-            failed.append((query, scale))
-            print(f"B-PAR    {query:22s} scale={scale}  missing jobs=1 row")
-            continue
-        serial = cells[1]
-        if serial < PAR_NOISE_FLOOR_MS:
-            print(
-                f"B-PAR    {query:22s} scale={scale}  "
-                f"serial={serial:9.2f}ms  below noise floor, skipped"
-            )
-            continue
-        for jobs, ms in sorted(cells.items()):
-            if jobs == 1:
-                continue
-            ok = ms <= PAR_FACTOR * serial
-            print(
-                f"B-PAR    {query:22s} scale={scale}  jobs={jobs}  "
-                f"serial={serial:9.2f}ms  parallel={ms:9.2f}ms  "
-                f"{'ok' if ok else 'TOO SLOW'}"
-            )
-            if not ok:
-                failed.append((query, scale, jobs))
     return failed
 
 
@@ -389,10 +332,9 @@ def main():
         sys.exit("no comparable benchmark rows found -- wrong files?")
     if compared == 0:
         # A run restricted to the within-run experiments (e.g. --only
-        # B-PAR) carries no baseline-comparable rows; that is fine.
+        # B-VEC) carries no baseline-comparable rows; that is fine.
         print("B-SCALE/B-DIV: no rows in the new run, skipping the baseline comparison")
     prep_failed = check_prepared(sys.argv[2])
-    par_failed = check_parallel(sys.argv[2])
     vec_failed = check_vectorized(sys.argv[2])
     index_failed = check_index(sys.argv[2])
     traffic_failed = check_traffic(sys.argv[1], sys.argv[2])
@@ -402,11 +344,6 @@ def main():
         sys.exit(
             f"{len(prep_failed)} B-PREP rows where prepared execution "
             "was not cheaper than cold runs"
-        )
-    if par_failed:
-        sys.exit(
-            f"{len(par_failed)} B-PAR rows where jobs>1 was more than "
-            f"{PAR_FACTOR}x slower than the serial engine"
         )
     if vec_failed:
         sys.exit(

@@ -3,7 +3,7 @@
    than the input, windows that don't divide the cardinality), and the
    QCheck differential pinning the batch-independence contract — the
    batched engine must produce the scalar engine's result set for every
-   batch size, strategy preset and jobs count, with identical iteration
+   batch size and strategy preset, with identical iteration
    order whenever the query involves no universal quantification (the
    columnar divide is documented to reorder only the quotient). *)
 
@@ -16,7 +16,7 @@ let exec_q ?opts db q = Session.exec ?opts (Session.create db) q
 
 module Stream = Algebra.Stream
 
-let seq_of r = Array.to_list (Relation.to_array_uncounted r)
+let seq_of r = List.rev (Relation.fold (fun acc t -> t :: acc) [] r)
 
 let check_same_relation label a b =
   Alcotest.(check (list Helpers.tuple))
@@ -84,8 +84,8 @@ let test_product_and_semijoin_windows () =
 (* --------------------------------------------------------------- *)
 (* Whole-pipeline batch-independence: the differential of the issue.
    The scalar engine (batch_size = 1) is the oracle; the batched
-   engine must agree for small windows (many boundaries), the default
-   window, and under a jobs=4 fan-out — across every strategy preset.
+   engine must agree for small windows (many boundaries) and the
+   default window — across every strategy preset.
    Result sets must match always; iteration order must also match
    unless the query can involve universal quantification (negation
    included: adaptation rewrites NOT-EXISTS into ALL), where the
@@ -108,16 +108,13 @@ let batch_independent_on seed =
   | Ok () ->
     List.for_all
       (fun (sname, strategy) ->
-        let run ~jobs ~batch_size =
-          exec_q
-            ~opts:
-              (Exec_opts.make ~strategy ~jobs ~par_threshold:0 ~batch_size ())
-            db q
+        let run batch_size =
+          exec_q ~opts:(Exec_opts.make ~strategy ~batch_size ()) db q
         in
-        let reference = run ~jobs:1 ~batch_size:1 in
+        let reference = run 1 in
         List.for_all
-          (fun (jobs, batch_size) ->
-            let r = run ~jobs ~batch_size in
+          (fun batch_size ->
+            let r = run batch_size in
             let sets_equal =
               List.equal Tuple.equal (Relation.to_list reference)
                 (Relation.to_list r)
@@ -129,12 +126,12 @@ let batch_independent_on seed =
             (sets_equal && order_ok)
             ||
             QCheck.Test.fail_reportf
-              "batch_size=%d jobs=%d diverges from scalar under %s, seed %d \
+              "batch_size=%d diverges from scalar under %s, seed %d \
                (%s):@.%a@.scalar %a@.got %a"
-              batch_size jobs sname seed
+              batch_size sname seed
               (if sets_equal then "iteration order" else "result set")
               Calculus.pp_query q Relation.pp reference Relation.pp r)
-          [ (1, 3); (1, 2048); (4, 4) ])
+          [ 3; 2048; 4 ])
       Strategy.all_presets
 
 let test_batch_differential =

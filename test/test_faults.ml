@@ -352,16 +352,8 @@ let sites_and_triggers rng =
   in
   (site, trigger) :: extra
 
-(* [jobs = 4] runs the same property through the domain pool (with
-   par_threshold 0 so even the tiny databases partition): a fault that
-   fires while a worker holds a task must still surface at the join as
-   the typed error the serial engine reports — never as a Domain
-   teardown crash — and never as a silently different answer. *)
-let fault_differential ?(jobs = 1) seed0 =
-  let opts_of strategy =
-    if jobs <= 1 then Pascalr.Exec_opts.make ~strategy ()
-    else Pascalr.Exec_opts.make ~strategy ~jobs ~par_threshold:0 ()
-  in
+let fault_differential seed0 =
+  let opts_of strategy = Pascalr.Exec_opts.make ~strategy () in
   let seed = seed0 + (seed_offset * 1_000_003) in
   with_failpoints (fun () ->
       let rng = Workload.Prng.create (seed * 131) in
@@ -471,16 +463,7 @@ let test_fault_differential =
        or typed + committed-intact"
     ~count:220
     QCheck.(make Gen.(int_range 0 1_000_000))
-    (fault_differential ?jobs:None)
-
-let test_fault_differential_parallel =
-  QCheck.Test.make
-    ~name:
-      "differential under jobs=4: faults stay typed at the pool join, \
-       committed snapshot intact"
-    ~count:60
-    QCheck.(make Gen.(int_range 0 1_000_000))
-    (fault_differential ~jobs:4)
+    fault_differential
 
 (* --------------------------------------------------------------- *)
 (* WAL crash differential: replay recovers exactly the committed
@@ -696,7 +679,6 @@ let suite =
         Alcotest.test_case "load rejects damaged snapshots" `Quick
           test_load_rejects_damage;
         QCheck_alcotest.to_alcotest test_fault_differential;
-        QCheck_alcotest.to_alcotest test_fault_differential_parallel;
         QCheck_alcotest.to_alcotest test_wal_crash_differential;
         QCheck_alcotest.to_alcotest test_snapshot_readers;
       ] );

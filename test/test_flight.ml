@@ -102,7 +102,6 @@ let synthetic digest =
     fr_combination_ms = 0.4;
     fr_construction_ms = 0.2;
     fr_rows = 1;
-    fr_jobs = 1;
     fr_scans = 2;
     fr_probes = 3;
     fr_index_probes = 0;

@@ -5,7 +5,7 @@
    phase reports per structure, the join algorithm the combination
    phase picks per step — and the QCheck differential proving that
    index-driven adaptive plans return exactly the tuples of the forced
-   heap-scan nested-loop oracle across presets, jobs and batch sizes. *)
+   heap-scan nested-loop oracle across presets and batch sizes. *)
 
 open Pascalr
 open Relalg
@@ -380,30 +380,25 @@ let indexed_plans_agree_on seed =
   List.for_all
     (fun (sname, strategy) ->
       List.for_all
-        (fun jobs ->
-          List.for_all
-            (fun batch_size ->
-              let actual =
-                exec_q
-                  ~opts:
-                    (Exec_opts.make ~strategy ~jobs ~batch_size
-                       ~use_index:true ())
-                  db q
-              in
-              Relation.equal_set expected actual
-              ||
-              QCheck.Test.fail_reportf
-                "indexed %s (jobs=%d batch=%d) differs from heap-scan NLJ \
-                 oracle on seed %d:@.%a@.expected %a@.got %a"
-                sname jobs batch_size seed Calculus.pp_query q Relation.pp
-                expected Relation.pp actual)
-            [ 1; 2048 ])
-        [ 1; 4 ])
+        (fun batch_size ->
+          let actual =
+            exec_q
+              ~opts:(Exec_opts.make ~strategy ~batch_size ~use_index:true ())
+              db q
+          in
+          Relation.equal_set expected actual
+          ||
+          QCheck.Test.fail_reportf
+            "indexed %s (batch=%d) differs from heap-scan NLJ oracle on seed \
+             %d:@.%a@.expected %a@.got %a"
+            sname batch_size seed Calculus.pp_query q Relation.pp expected
+            Relation.pp actual)
+        [ 1; 2048 ])
     Strategy.all_presets
 
 let test_indexed_differential =
   QCheck.Test.make
-    ~name:"indexed adaptive plans = heap-scan NLJ oracle (presets x jobs x batch)"
+    ~name:"indexed adaptive plans = heap-scan NLJ oracle (presets x batch)"
     ~count:30
     QCheck.(make Gen.(int_range 0 100_000))
     indexed_plans_agree_on

@@ -108,19 +108,29 @@ let test_lru_eviction () =
 (* Cache keys: distinct per strategy and join order, but insensitive
    to the spelling of range variables (alpha-canonical digests). *)
 
+(* The options fingerprint is the options half of every plan-cache key:
+   changing any one execution setting — strategy, join order, batch
+   size, index use, forced join algorithm — must yield its own key. *)
 let test_keys_per_options () =
   let db = mk_db () in
   let q = Workload.Suppliers.ships_all_parts db in
   let s = Session.create db in
-  ignore (Session.prepare s q);
-  ignore
-    (Session.prepare ~opts:(Exec_opts.make ~strategy:Strategy.palermo ()) s q);
-  ignore
-    (Session.prepare
-       ~opts:(Exec_opts.make ~join_order:Combination.Declaration ())
-       s q);
-  Alcotest.(check int) "three distinct keys" 3 (Session.cache_length s);
-  Alcotest.(check int) "no spurious hits" 3
+  let base = Exec_opts.make ~batch_size:2048 ~use_index:true () in
+  let variants =
+    [
+      base;
+      { base with Exec_opts.strategy = Strategy.palermo };
+      { base with Exec_opts.join_order = Combination.Declaration };
+      { base with Exec_opts.batch_size = 1 };
+      { base with Exec_opts.use_index = false };
+      { base with Exec_opts.force_join = Some Cost.J_nlj };
+      { base with Exec_opts.force_join = Some Cost.J_hash };
+    ]
+  in
+  List.iter (fun opts -> ignore (Session.prepare ~opts s q)) variants;
+  let n = List.length variants in
+  Alcotest.(check int) "one distinct key per setting" n (Session.cache_length s);
+  Alcotest.(check int) "no spurious hits" n
     (Session.cache_stats s).Plan_cache.misses
 
 let test_alpha_renaming_shares_key () =

@@ -8,9 +8,8 @@
    executions from 4 domains over one shared read-only database.
 
    (The third observability structure, [Obs.Metrics], is domain-local
-   by design — each domain owns a private registry and deltas merge at
-   pool joins — so cross-domain stress is meaningless for it; its merge
-   discipline is covered in test_parallel.ml.) *)
+   by design — each domain owns a private registry — so cross-domain
+   stress is meaningless for it.) *)
 
 open Relalg
 open Pascalr
@@ -41,7 +40,6 @@ let flight_record d i =
     fr_combination_ms = 0.0;
     fr_construction_ms = 0.0;
     fr_rows = d;
-    fr_jobs = 1;
     fr_scans = 0;
     fr_probes = 0;
     fr_index_probes = 0;
@@ -133,7 +131,7 @@ let test_sessions_shared_database () =
   let per_domain = 25 in
   let db = Workload.University.generate Workload.University.small_params in
   let q = Workload.Queries.running_query db in
-  let opts = Exec_opts.make ~jobs:1 () in
+  let opts = Exec_opts.default in
   let reference = Relation.to_list (exec_q ~opts db q) in
   Obs.Query_stats.reset ();
   Obs.Flight_recorder.reset ();
