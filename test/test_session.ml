@@ -133,6 +133,31 @@ let test_keys_per_options () =
   Alcotest.(check int) "no spurious hits" n
     (Session.cache_stats s).Plan_cache.misses
 
+(* The fingerprint alone, without a session: pairwise distinct over
+   single-setting changes, and the default form carries exactly the
+   strategy, join order and batch size tokens. *)
+let test_fingerprint_separates_settings () =
+  let base = Exec_opts.make ~batch_size:2048 ~use_index:true () in
+  let fps =
+    List.map Exec_opts.fingerprint
+      [
+        base;
+        { base with Exec_opts.strategy = Strategy.palermo };
+        { base with Exec_opts.join_order = Combination.Declaration };
+        { base with Exec_opts.batch_size = 1 };
+        { base with Exec_opts.use_index = false };
+        { base with Exec_opts.force_join = Some Cost.J_nlj };
+        { base with Exec_opts.force_join = Some Cost.J_hash };
+      ]
+  in
+  Alcotest.(check int)
+    "pairwise distinct" (List.length fps)
+    (List.length (List.sort_uniq String.compare fps));
+  Alcotest.(check string)
+    "default form"
+    (Strategy.to_string Strategy.full ^ "/ordered/b2048")
+    (Exec_opts.fingerprint base)
+
 let test_alpha_renaming_shares_key () =
   let open Calculus in
   let db = mk_db () in
@@ -341,6 +366,8 @@ let suite =
         Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
         Alcotest.test_case "distinct keys per strategy and join order" `Quick
           test_keys_per_options;
+        Alcotest.test_case "fingerprint separates every execution setting"
+          `Quick test_fingerprint_separates_settings;
         Alcotest.test_case "alpha-renamed query shares the cached plan" `Quick
           test_alpha_renaming_shares_key;
         Alcotest.test_case "parameter grounding matches fresh runs" `Quick
