@@ -267,9 +267,13 @@ let pushed_predicate_of_entry (p : Plan.pushed) (vl, m_ok) v =
   | Normalize.Q_all ->
     m_ok && Value_list.quant_holds ~quant:Value_list.Q_all p.Plan.p_op v vl
 
-(* Specs for value lists, recursively including nested ones. *)
+(* Specs for value lists, recursively including nested ones and the
+   ones filtering the pushed variable's range.  A filter is applied
+   through its own already-built value list: one probe per element of
+   the range, no rescan of the filter's relation. *)
 let rec vlist_specs t (p : Plan.pushed) : spec list =
-  let nested = List.concat_map (vlist_specs t) p.Plan.p_nested in
+  let deps = p.Plan.p_nested @ p.Plan.p_filter in
+  let dep_specs = List.concat_map (vlist_specs t) deps in
   let key = vlist_key p in
   let range = p.Plan.p_range in
   let rel = Database.find_relation t.db range.range_rel in
@@ -277,7 +281,7 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
   let start t =
     let vl = Value_list.create ~storage:(storage_for p.Plan.p_quant p.Plan.p_op) () in
     let m_ok = ref true in
-    let nested_preds =
+    let preds_of deps =
       List.map
         (fun (n : Plan.pushed) ->
           match find_vlist t (vlist_key n) with
@@ -285,14 +289,19 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
             let pred = pushed_predicate_of_entry n e in
             fun tuple -> pred (Tuple.get_by_name schema tuple n.Plan.p_outer_attr)
           | None -> invalid_arg "Collection: nested value list not built")
-        p.Plan.p_nested
+        deps
     in
+    let nested_preds = preds_of p.Plan.p_nested in
+    let filter_preds = preds_of p.Plan.p_filter in
     let qualifies tuple =
       List.for_all (monadic_holds schema p.Plan.p_var tuple) p.Plan.p_monadic
       && List.for_all (fun pred -> pred tuple) nested_preds
     in
     let per_tuple tuple =
-      if restriction_holds t range schema tuple then
+      if
+        restriction_holds t range schema tuple
+        && List.for_all (fun pred -> pred tuple) filter_preds
+      then
         match p.Plan.p_quant with
         | Normalize.Q_some ->
           (* Only qualifying elements enter the list. *)
@@ -306,12 +315,12 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
     in
     (per_tuple, fun () -> E_vlist (vl, !m_ok))
   in
-  nested
+  dep_specs
   @ [
       {
         sp_key = key;
         sp_rel = range.range_rel;
-        sp_deps = List.map (fun n -> vlist_key n) p.Plan.p_nested;
+        sp_deps = List.map vlist_key deps;
         (* Value lists must see every range element (a Q_all list's
            monadics-hold-for-all flag inspects even non-qualifying
            tuples), so they always build from the heap scan. *)

@@ -18,7 +18,7 @@ let describe_pushed buf indent (vm : var) (p : Plan.pushed) =
   buf_add buf
     (Fmt.str "%svlist_%s := values of %s.%s over %s%s;\n" indent p.Plan.p_var
        p.Plan.p_var p.Plan.p_inner_attr
-       (describe_range p.Plan.p_range)
+       (Fmt.str "%a" Plan.pp_pushed_range p)
        (match p.Plan.p_monadic with
        | [] -> ""
        | atoms ->
@@ -37,9 +37,12 @@ let describe_pushed buf indent (vm : var) (p : Plan.pushed) =
 let explain_plan (plan : Plan.t) =
   let buf = Buffer.create 1024 in
   buf_add buf "(* collection phase *)\n";
-  (* Value lists of pushed quantifiers, innermost first. *)
+  (* Value lists of pushed quantifiers, innermost first: a list's range
+     filters and nested predicates are built before it. *)
   let rec emit_pushed (vm, (p : Plan.pushed)) =
-    List.iter (fun n -> emit_pushed (p.Plan.p_var, n)) p.Plan.p_nested;
+    List.iter
+      (fun n -> emit_pushed (p.Plan.p_var, n))
+      (p.Plan.p_filter @ p.Plan.p_nested);
     describe_pushed buf "" vm p
   in
   List.iter

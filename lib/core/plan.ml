@@ -20,6 +20,9 @@ type pushed = {
   p_inner_attr : string;
   p_monadic : atom list;  (* monadic join terms over vn from the conjunction *)
   p_nested : pushed list;  (* derived predicates over vn from earlier pushes *)
+  p_filter : pushed list;
+      (* derived predicates over vn absorbed into its range: vn ranges
+         over [EACH vn IN p_range: f1 AND ... AND fk] *)
 }
 
 type conj = {
@@ -95,33 +98,46 @@ let atoms_id atoms =
   String.concat "&" (List.sort String.compare (List.map atom_id atoms))
 
 let rec pushed_id p =
-  Fmt.str "%s:%s:%a:%s:%s:%s:[%s]:[%s]"
+  Fmt.str "%s:%s:%a:%s:%s:%s:[%s]:[%s]%s"
     (Normalize.quant_to_string p.p_quant)
     p.p_var pp_range p.p_range
     (Value.comparison_to_string p.p_op)
     p.p_outer_attr p.p_inner_attr (atoms_id p.p_monadic)
     (String.concat ";" (List.map pushed_id p.p_nested))
+    (match p.p_filter with
+    | [] -> ""
+    | fs -> Fmt.str ":filter[%s]" (String.concat ";" (List.map pushed_id fs)))
 
 let derived_id (vm, p) = vm ^ "<-" ^ pushed_id p
 
-let pp_pushed ppf p =
-  let rec go ppf p =
-    Fmt.pf ppf "%s %s IN %a (%a"
-      (Normalize.quant_to_string p.p_quant)
-      p.p_var pp_range p.p_range
-      (Fmt.list ~sep:(Fmt.any " AND ") pp_atom)
-      (p.p_monadic
-      @ [
-          {
-            lhs = O_attr ("<outer>", p.p_outer_attr);
-            op = p.p_op;
-            rhs = O_attr (p.p_var, p.p_inner_attr);
-          };
-        ]);
-    List.iter (fun n -> Fmt.pf ppf " AND %a" go n) p.p_nested;
-    Fmt.pf ppf ")"
-  in
-  go ppf p
+(* [outer] names the variable the join term's outer attribute belongs
+   to: "<outer>" for a predicate in the matrix, vn itself for the
+   predicates of vn's range filter. *)
+let rec pp_pushed_on outer ppf p =
+  Fmt.pf ppf "%s %s IN %a (%a"
+    (Normalize.quant_to_string p.p_quant)
+    p.p_var pp_pushed_range p
+    (Fmt.list ~sep:(Fmt.any " AND ") pp_atom)
+    (p.p_monadic
+    @ [
+        {
+          lhs = O_attr (outer, p.p_outer_attr);
+          op = p.p_op;
+          rhs = O_attr (p.p_var, p.p_inner_attr);
+        };
+      ]);
+  List.iter (fun n -> Fmt.pf ppf " AND %a" (pp_pushed_on "<outer>") n) p.p_nested;
+  Fmt.pf ppf ")"
+
+and pp_pushed_range ppf p =
+  match p.p_filter with
+  | [] -> pp_range ppf p.p_range
+  | fs ->
+    Fmt.pf ppf "[EACH %s IN %a: %a]" p.p_var pp_range p.p_range
+      (Fmt.list ~sep:(Fmt.any " AND ") (pp_pushed_on p.p_var))
+      fs
+
+let pp_pushed = pp_pushed_on "<outer>"
 
 let pp_conj ppf c =
   Normalize.pp_conjunction ppf c.atoms;

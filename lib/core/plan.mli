@@ -14,6 +14,10 @@ type pushed = {
   p_inner_attr : string;
   p_monadic : atom list;  (** monadic join terms over vn *)
   p_nested : pushed list;  (** derived predicates over vn, pushed earlier *)
+  p_filter : pushed list;
+      (** derived predicates over vn absorbed into its range (S3's ALL
+          identity applied after a push); vn ranges over
+          [[EACH vn IN range: f1 AND ... AND fk]] *)
 }
 (** A derived predicate on outer variable vm:
     [Q vn IN range (monadic ∧ nested ∧ vm.outer_attr op vn.inner_attr)]. *)
@@ -55,5 +59,10 @@ val pushed_id : pushed -> string
 val derived_id : var * pushed -> string
 
 val pp_pushed : pushed Fmt.t
+
+val pp_pushed_range : pushed Fmt.t
+(** The pushed variable's range, with its filter when it has one:
+    [[EACH vn IN range: f1 AND ... AND fk]]. *)
+
 val pp_conj : conj Fmt.t
 val pp : t Fmt.t

@@ -130,8 +130,13 @@ let choose db query =
       if cost_with.Cost.e_combination <= cost_without.Cost.e_combination then begin
         add "S4"
           (Fmt.str
-             "pushing shrinks estimated combination volume %.0f -> %.0f n-tuples"
-             cost_without.Cost.e_combination cost_with.Cost.e_combination);
+             "pushing shrinks estimated combination volume %.0f -> %.0f n-tuples%s"
+             cost_without.Cost.e_combination cost_with.Cost.e_combination
+             (match Quant_push.absorbed_vars pushed with
+             | [] -> ""
+             | vs ->
+               Fmt.str "; ALL %s pushed after absorbing derived-only conjunctions into the range"
+                 (String.concat ", " vs)));
         true
       end
       else begin

@@ -89,6 +89,7 @@ let rec subst_pushed b (p : Plan.pushed) =
     Plan.p_range = subst_range b p.Plan.p_range;
     p_monadic = List.map (subst_atom b) p.Plan.p_monadic;
     p_nested = List.map (subst_pushed b) p.Plan.p_nested;
+    p_filter = List.map (subst_pushed b) p.Plan.p_filter;
   }
 
 let subst_conj b (c : Plan.conj) =

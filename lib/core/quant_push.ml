@@ -10,7 +10,9 @@
    join term (over vn and vm) plus monadic terms over vn.  For a
    universally quantified vn, splitting additionally requires vn to
    occur in no more than one conjunction (Lemma 1, rule 3; the range
-   must be non-empty, which the adaptation pass guarantees).
+   must be non-empty, which the adaptation pass guarantees) — after the
+   conjunctions that are single derived predicates over vn have been
+   absorbed into vn's range (see [absorb]).
 
    The push replaces vn's join terms by a DERIVED PREDICATE on vm,
    evaluated in the collection phase against a value list of vn's
@@ -59,17 +61,88 @@ type push_piece = {
   pc_pushed : Plan.pushed;
 }
 
-(* Try to build the push pieces for [vn]; None if some conjunction
-   mentioning it does not have the required shape. *)
+(* Negation of a derived predicate whose quantified sub-formula is the
+   join term alone: NOT (Q x IN r (o op x.a)) = Q' x IN r (o op' x.a)
+   with Q' the dual quantifier and op' the negated operator.  Exact over
+   an empty r too (SOME is false there, ALL true), and a filter is part
+   of r, so it carries over unchanged. *)
+let negate_pushed (p : Plan.pushed) =
+  match p.Plan.p_monadic, p.Plan.p_nested with
+  | [], [] ->
+    Some
+      {
+        p with
+        Plan.p_quant =
+          (match p.Plan.p_quant with
+          | Normalize.Q_some -> Normalize.Q_all
+          | Normalize.Q_all -> Normalize.Q_some);
+        p_op = Value.negate_comparison p.Plan.p_op;
+      }
+  | _ -> None
+
+let rec pushed_has_params (p : Plan.pushed) =
+  Range_ext.range_has_params p.Plan.p_range
+  || List.exists pushed_has_params p.Plan.p_filter
+
+(* S3's ALL identity, applied after earlier pushes:
+     ALL v IN rel (NOT S(v) OR W) = ALL v IN [EACH v IN rel: S(v)] (W).
+   Among the conjunctions mentioning an ALL variable vn, each one that
+   holds no atoms and a single derived predicate D over vn is a
+   disjunct NOT S(vn) with S = NOT D, exact by [negate_pushed].  When
+   exactly one conjunction is left (the kept one), the others leave the
+   matrix and their negations filter vn's range; vn then splits from
+   the kept conjunction as usual.
+
+   The filtered range may be empty, where ALL is true.  The pushed
+   predicate is then true as well, so the rewrite stays exact as long as
+   nothing is pulled out of the quantifier: every atom of the kept
+   conjunction must mention vn and every derived predicate of it must
+   be over vn.  Ranges carrying a $param are skipped (as strategy 3
+   skips them): their emptiness is unknown until execution.  Returns
+   the kept conjunction, the absorbed ones and the filter. *)
+let absorb vn (entry : Normalize.prefix_entry) conjs =
+  let negation (c : Plan.conj) =
+    match c.Plan.atoms, c.Plan.derived with
+    | [], [ (w, p) ] when String.equal w vn -> negate_pushed p
+    | _ -> None
+  in
+  let negs = List.map (fun c -> (c, negation c)) conjs in
+  match List.filter (fun (_, n) -> Option.is_none n) negs with
+  | [ (kept, _) ]
+    when List.for_all (fun a -> Var_set.mem vn (atom_vars a)) kept.Plan.atoms
+         && List.for_all (fun (w, _) -> String.equal w vn) kept.Plan.derived ->
+    let absorbed =
+      List.filter_map (fun (c, n) -> Option.map (fun f -> (c, f)) n) negs
+    in
+    let filter = List.map snd absorbed in
+    if
+      Range_ext.range_has_params entry.Normalize.range
+      || List.exists pushed_has_params filter
+    then None
+    else Some (kept, List.map fst absorbed, filter)
+  | _ -> None
+
+(* Try to build the push pieces for [vn], with the conjunctions absorbed
+   into its range; None if some conjunction mentioning it does not have
+   the required shape. *)
 let push_pieces (plan : Plan.t) (entry : Normalize.prefix_entry) =
   let vn = entry.Normalize.v in
   let conjs_with_vn =
     List.filter (fun c -> Var_set.mem vn (Plan.conj_vars c)) plan.Plan.conjs
   in
-  if conjs_with_vn = [] then None
-  else if entry.Normalize.q = Normalize.Q_all && List.length conjs_with_vn > 1
-  then None (* Lemma 1: an ALL variable splits only from one conjunction *)
-  else
+  let split =
+    match entry.Normalize.q, conjs_with_vn with
+    | _, [] -> None
+    | Normalize.Q_all, _ :: _ :: _ ->
+      (* Lemma 1: an ALL variable splits only from one conjunction *)
+      Option.map
+        (fun (kept, absorbed, filter) -> ([ kept ], absorbed, filter))
+        (absorb vn entry conjs_with_vn)
+    | (Normalize.Q_all | Normalize.Q_some), _ -> Some (conjs_with_vn, [], [])
+  in
+  match split with
+  | None -> None
+  | Some (conjs, absorbed, filter) ->
     let piece (c : Plan.conj) =
       let monadic = Plan.monadic_over vn c.Plan.atoms in
       let dyadic = Plan.dyadic_over vn c.Plan.atoms in
@@ -96,14 +169,15 @@ let push_pieces (plan : Plan.t) (entry : Normalize.prefix_entry) =
                   p_inner_attr = inner_attr;
                   p_monadic = monadic;
                   p_nested = nested;
+                  p_filter = filter;
                 };
             }
         | None -> None)
       | [] | _ :: _ -> None
     in
-    let pieces = List.map piece conjs_with_vn in
+    let pieces = List.map piece conjs in
     if List.for_all Option.is_some pieces then
-      Some (List.filter_map Fun.id pieces)
+      Some (absorbed, List.filter_map Fun.id pieces)
     else None
 
 let same_conj (a : Plan.conj) (b : Plan.conj) =
@@ -113,8 +187,10 @@ let same_conj (a : Plan.conj) (b : Plan.conj) =
        (fun x y -> String.equal (Plan.derived_id x) (Plan.derived_id y))
        a.Plan.derived b.Plan.derived
 
-(* Apply one push: rewrite the conjunctions and drop vn from the prefix. *)
-let apply_push (plan : Plan.t) (entry : Normalize.prefix_entry) pieces =
+(* Apply one push: drop the absorbed conjunctions, rewrite the others
+   and drop vn from the prefix. *)
+let apply_push (plan : Plan.t) (entry : Normalize.prefix_entry)
+    (absorbed, pieces) =
   let vn = entry.Normalize.v in
   let rewrite (c : Plan.conj) =
     match List.find_opt (fun pc -> same_conj pc.pc_conj c) pieces with
@@ -130,7 +206,11 @@ let apply_push (plan : Plan.t) (entry : Normalize.prefix_entry) pieces =
   in
   {
     plan with
-    Plan.conjs = List.map rewrite plan.Plan.conjs;
+    Plan.conjs =
+      List.filter_map
+        (fun c ->
+          if List.exists (same_conj c) absorbed then None else Some (rewrite c))
+        plan.Plan.conjs;
     prefix =
       List.filter
         (fun (e : Normalize.prefix_entry) -> not (String.equal e.Normalize.v vn))
@@ -147,10 +227,23 @@ let apply _db (plan : Plan.t) =
       | entry :: rest ->
         if movable_to_rightmost plan plan.Plan.prefix entry then (
           match push_pieces plan entry with
-          | Some pieces -> loop (apply_push plan entry pieces)
+          | Some push -> loop (apply_push plan entry push)
           | None -> try_candidates rest)
         else try_candidates rest
     in
     try_candidates candidates
   in
   loop plan
+
+(* ALL variables pushed with a range filter, in plan order. *)
+let absorbed_vars (plan : Plan.t) =
+  let rec of_pushed acc (p : Plan.pushed) =
+    let acc = List.fold_left of_pushed acc (p.Plan.p_filter @ p.Plan.p_nested) in
+    if p.Plan.p_filter <> [] && not (List.mem p.Plan.p_var acc) then
+      acc @ [ p.Plan.p_var ]
+    else acc
+  in
+  List.fold_left
+    (fun acc (c : Plan.conj) ->
+      List.fold_left (fun acc (_, p) -> of_pushed acc p) acc c.Plan.derived)
+    [] plan.Plan.conjs

@@ -16,3 +16,8 @@ val apply : ?cnf:bool -> Database.t -> Standard_form.t -> Standard_form.t
     negated (restrictions in conjunctive normal form, removing whole
     conjunctions from the matrix), and free/SOME ranges additionally
     shrink by the disjunction of their conjunctions' monadic terms. *)
+
+val range_has_params : Calculus.range -> bool
+(** Does the range's restriction mention a [$param]?  Its emptiness is
+    then unknown until execution, so rewrites whose soundness depends on
+    it are skipped. *)

@@ -99,6 +99,26 @@ let test_explain_output () =
   Alcotest.(check bool) "mentions construction" true
     (Helpers.contains text "construction phase")
 
+(* "No red part": the S4 reason names h, pushed after absorption; the
+   after-estimate is the single supplier list; explain shows h's
+   filtered range and neither an indirect join nor a division. *)
+let test_absorbed_push_reported () =
+  let db = Workload.Suppliers.generate (Workload.Suppliers.scaled 2) in
+  let q = Workload.Suppliers.ships_no_red_part db in
+  let d = Planner.choose db q in
+  let s4 = List.assoc "S4" d.Planner.d_reasons in
+  Alcotest.(check bool) ("S4 reason names h: " ^ s4) true
+    (Helpers.contains s4 "ALL h pushed after absorbing");
+  Alcotest.(check bool) "after estimate <= |suppliers|" true
+    (d.Planner.d_after.Cost.e_combination
+    <= float_of_int (Relation.cardinality (Database.find_relation db "suppliers")));
+  let text = Explain.explain ~strategy:Strategy.s1234 db q in
+  Alcotest.(check bool) "filtered range" true
+    (Helpers.contains text "values of h.hsnr over [EACH h IN shipments: SOME p IN");
+  Alcotest.(check bool) "no division" false (Helpers.contains text "DIVIDED BY");
+  Alcotest.(check bool) "no indirect join" false
+    (Helpers.contains text "indirect join")
+
 let suite =
   [
     ( "planner",
@@ -114,5 +134,7 @@ let suite =
         Alcotest.test_case "planner result correct" `Quick
           test_planner_result_correct;
         Alcotest.test_case "explain output" `Quick test_explain_output;
+        Alcotest.test_case "absorbed ALL push reported" `Quick
+          test_absorbed_push_reported;
       ] );
   ]

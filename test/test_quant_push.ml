@@ -185,6 +185,307 @@ let test_storage_policies_via_pipeline () =
   check (Workload.Queries.all_eq_query db) 1;
   check (Workload.Queries.some_ne_query db) 1
 
+(* --- Absorption: ALL pushed after its derived-only conjunctions move
+   into its range (S3's ALL identity applied after S4). *)
+
+let suppliers ?(prob_red = 0.35) ?(n_shipments = 120) seed =
+  Workload.Suppliers.generate
+    {
+      (Workload.Suppliers.scaled ~seed 1) with
+      Workload.Suppliers.prob_red;
+      n_shipments;
+    }
+
+let color db name = Value.enum (Database.find_enum db "colortype") name
+
+(* Delete every shipment of a red part: red parts exist, yet h's range
+   filtered by "ships a red part" is empty. *)
+let unship_red db =
+  let parts = Database.find_relation db "parts"
+  and shipments = Database.find_relation db "shipments" in
+  let red = color db "red" in
+  let is_red pnr =
+    match Relation.find_key parts [ pnr ] with
+    | Some t -> Value.equal (Tuple.get t 2) red
+    | None -> false
+  in
+  List.iter
+    (fun t ->
+      if is_red (Tuple.get t 1) then
+        Relation.delete_key shipments [ Tuple.get t 0; Tuple.get t 1 ])
+    (Relation.to_list shipments);
+  db
+
+let s1234 = Exec_opts.make ~strategy:Strategy.s1234 ()
+
+(* "No red part": p is pushed, the conjunction holding p's derived
+   predicate is absorbed into h's range, and h is pushed too — one
+   value-list scan each of parts, shipments and suppliers, and no
+   combination-phase join or division. *)
+let test_no_red_part_absorbed () =
+  List.iter
+    (fun scale ->
+      let db = Workload.Suppliers.generate (Workload.Suppliers.scaled scale) in
+      let q = Workload.Suppliers.ships_no_red_part db in
+      let plan = prepare_plan db q Strategy.s1234 in
+      Alcotest.(check int) "prefix emptied" 0 (List.length plan.Plan.prefix);
+      (match plan.Plan.conjs with
+      | [ { Plan.atoms = []; derived = [ ("s", p) ] } ] ->
+        Alcotest.(check string) "h pushed onto s" "h" p.Plan.p_var;
+        Alcotest.(check int) "h's range carries the filter" 1
+          (List.length p.Plan.p_filter)
+      | _ -> Alcotest.failf "scale %d: expected one derived predicate on s" scale);
+      Alcotest.(check (list string)) "absorbed" [ "h" ]
+        (Quant_push.absorbed_vars plan);
+      Database.reset_counters db;
+      Collection.run (Collection.create db Strategy.s1234 plan);
+      Alcotest.(check int) "collection scans" 3 (Database.total_scans db);
+      let report = exec_q_report ~opts:s1234 db q in
+      let n_suppliers =
+        Relation.cardinality (Database.find_relation db "suppliers")
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "max_ntuple %d <= %d" report.Exec_result.max_ntuple
+           n_suppliers)
+        true
+        (report.Exec_result.max_ntuple <= n_suppliers);
+      Helpers.check_same_result "= naive" (Naive_eval.run db q)
+        report.Exec_result.result)
+    [ 1; 2; 4 ]
+
+(* The absorbed conjunction's derived predicate carries a monadic term
+   (p.pweight > 10), so its negation is not a plain join term: h stays
+   in the prefix. *)
+let test_absorb_needs_bare_join_term () =
+  let db = suppliers 7 in
+  let q =
+    {
+      free = [ ("s", base "suppliers") ];
+      select = [ ("s", "sname") ];
+      body =
+        f_all "h" (base "shipments")
+          (f_or
+             (ne (attr "h" "hsnr") (attr "s" "snr"))
+             (f_all "p" (base "parts")
+                (f_and
+                   (ne (attr "p" "pnr") (attr "h" "hpnr"))
+                   (gt (attr "p" "pweight") (cint 10)))));
+    }
+  in
+  let plan = prepare_plan db q Strategy.s1234 in
+  let monadic_p =
+    List.exists
+      (fun (c : Plan.conj) ->
+        List.exists
+          (fun ((_, p) : var * Plan.pushed) ->
+            String.equal p.Plan.p_var "p" && p.Plan.p_monadic <> [])
+          c.Plan.derived)
+      plan.Plan.conjs
+  in
+  Alcotest.(check bool) "p pushed with a monadic term" true monadic_p;
+  Alcotest.(check (list string)) "h stays in the prefix" [ "h" ]
+    (List.map (fun (e : Normalize.prefix_entry) -> e.Normalize.v) plan.Plan.prefix);
+  Helpers.check_same_result "= naive" (Naive_eval.run db q) (exec_q ~opts:s1234 db q)
+
+(* The kept conjunction holds an atom without h (s.scity = london).  If
+   h's filtered range is empty the quantifier is true whatever that
+   atom says, so pulling it out would be wrong: h stays in the prefix.
+   With no red part shipped, the range is empty and every supplier
+   qualifies. *)
+let test_absorb_keeps_foreign_atoms_inside () =
+  let db = unship_red (suppliers 7) in
+  let q =
+    {
+      free = [ ("s", base "suppliers") ];
+      select = [ ("s", "sname") ];
+      body =
+        f_all "h" (base "shipments")
+          (f_or
+             (f_and
+                (ne (attr "h" "hsnr") (attr "s" "snr"))
+                (eq (attr "s" "scity") (const (Workload.Suppliers.london db))))
+             (f_not
+                (f_some "p" (base "parts")
+                   (f_and
+                      (eq (attr "p" "pnr") (attr "h" "hpnr"))
+                      (eq (attr "p" "pcolor") (const (color db "red")))))));
+    }
+  in
+  let plan = prepare_plan db q Strategy.s1234 in
+  Alcotest.(check (list string)) "nothing absorbed" []
+    (Quant_push.absorbed_vars plan);
+  let expected = Naive_eval.run db q in
+  Alcotest.(check int) "every supplier"
+    (Relation.cardinality (Database.find_relation db "suppliers"))
+    (Relation.cardinality expected);
+  Helpers.check_same_result "= naive" expected (exec_q ~opts:s1234 db q)
+
+let comparisons = Value.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* Batch 1/2048 x index on/off, under s1+s2+s3+s4. *)
+let engine_opts =
+  List.concat_map
+    (fun batch_size ->
+      List.map
+        (fun use_index ->
+          ( Printf.sprintf "batch=%d index=%b" batch_size use_index,
+            Exec_opts.make ~strategy:Strategy.s1234 ~batch_size ~use_index () ))
+        [ true; false ])
+    [ 1; 2048 ]
+
+let with_indexes db =
+  ignore (Database.declare_index db "parts" ~on:[ "pcolor" ] : Secondary_index.t);
+  ignore
+    (Database.declare_index ~kind:Secondary_index.Sorted db "shipments"
+       ~on:[ "hsnr" ]
+      : Secondary_index.t);
+  db
+
+(* The anti-join shapes over every operator pair:
+   [NOT] SOME h (h.hsnr op1 s.snr AND SOME p (p.pnr op2 h.hpnr AND red))
+   and the dual ALL h (h.hsnr op1 s.snr OR NOT SOME p (...)). *)
+let anti_join_shapes db =
+  let red = color db "red" in
+  List.concat_map
+    (fun op1 ->
+      List.concat_map
+        (fun op2 ->
+          let inner =
+            f_some "p" (base "parts")
+              (f_and
+                 (mk_atom (attr "p" "pnr") op2 (attr "h" "hpnr"))
+                 (eq (attr "p" "pcolor") (const red)))
+          in
+          let join = mk_atom (attr "h" "hsnr") op1 (attr "s" "snr") in
+          let q body =
+            { free = [ ("s", base "suppliers") ]; select = [ ("s", "sname") ]; body }
+          in
+          let some = f_some "h" (base "shipments") (f_and join inner) in
+          [
+            q some;
+            q (f_not some);
+            q (f_all "h" (base "shipments") (f_or join (f_not inner)));
+          ])
+        comparisons)
+    comparisons
+
+(* Every anti-join shape on databases where absorbed ranges can be
+   empty (no red part; one random shipment; red parts never shipped)
+   and on a default one, across the engine variants, against the
+   naive evaluator.  Some cases must actually fire the absorption. *)
+let test_anti_join_differential () =
+  let dbs =
+    [
+      ("no red parts (seed 1)", suppliers ~prob_red:0.0 1);
+      ("no red parts (seed 2)", suppliers ~prob_red:0.0 2);
+      ("one shipment (seed 3)", suppliers ~n_shipments:1 3);
+      ("one shipment (seed 4)", suppliers ~n_shipments:1 4);
+      ("red parts unshipped (seed 5)", unship_red (suppliers 5));
+      ("default (seed 6)", suppliers 6);
+    ]
+  in
+  let fired = ref 0 and cases = ref 0 in
+  List.iter
+    (fun (dname, db) ->
+      let db = with_indexes db in
+      List.iter
+        (fun q ->
+          if Quant_push.absorbed_vars (prepare_plan db q Strategy.s1234) <> []
+          then incr fired;
+          let expected = Naive_eval.run db q in
+          List.iter
+            (fun (oname, opts) ->
+              incr cases;
+              let got = exec_q ~opts db q in
+              if not (Relation.equal_set expected got) then
+                Alcotest.failf "%s, %s:@.%a@.expected %a@.got %a" dname oname
+                  pp_query q Relation.pp expected Relation.pp got)
+            engine_opts)
+        (anti_join_shapes db))
+    dbs;
+  Alcotest.(check bool)
+    (Printf.sprintf "absorption fired in %d of %d plans" !fired
+       (!cases / List.length engine_opts))
+    true (!fired > 0)
+
+(* A $param in p's range restriction: absorption is skipped (the
+   filter's emptiness is unknown at plan time), and a binding that
+   empties p's range re-plans the ground query. *)
+let test_anti_join_prepared_param () =
+  let db = with_indexes (suppliers 8) in
+  let q =
+    {
+      free = [ ("s", base "suppliers") ];
+      select = [ ("s", "sname") ];
+      body =
+        f_not
+          (f_some "h" (base "shipments")
+             (f_and
+                (eq (attr "h" "hsnr") (attr "s" "snr"))
+                (f_some "p"
+                   (restricted "parts" "p" (gt (attr "p" "pweight") (param "w")))
+                   (eq (attr "p" "pnr") (attr "h" "hpnr")))));
+    }
+  in
+  List.iter
+    (fun (oname, opts) ->
+      let prep = Session.prepare ~opts (Session.create db) q in
+      Alcotest.(check (list string)) "params skip absorption" []
+        (Quant_push.absorbed_vars (Prepared.plan prep));
+      List.iter
+        (fun w ->
+          let b = Var_map.add "w" (Value.int w) Var_map.empty in
+          let report = Prepared.exec_report ~params:[ ("w", Value.int w) ] prep in
+          let msg = Printf.sprintf "%s, $w = %d" oname w in
+          Helpers.check_same_result msg
+            (Naive_eval.run db (subst_query b q))
+            report.Exec_result.result;
+          if w >= 100 then
+            Alcotest.(check string) (msg ^ ": reground") "reground"
+              (Exec_result.cache_outcome_to_string report.Exec_result.cache))
+        [ 0; 50; 100 ])
+    engine_opts
+
+(* Two derived predicates identical but for their range filter must not
+   share a memoized value list: the memo key includes the filter. *)
+let test_filter_in_memo_key () =
+  let db = suppliers 9 in
+  let no_part_of colour =
+    f_not
+      (f_some "h" (base "shipments")
+         (f_and
+            (eq (attr "h" "hsnr") (attr "s" "snr"))
+            (f_some "p" (base "parts")
+               (f_and
+                  (eq (attr "p" "pnr") (attr "h" "hpnr"))
+                  (eq (attr "p" "pcolor") (const (color db colour)))))))
+  in
+  let q_red = Workload.Suppliers.ships_no_red_part db in
+  let plan = prepare_plan db q_red Strategy.s1234 in
+  let green_parts =
+    restricted "parts" "p" (eq (attr "p" "pcolor") (const (color db "green")))
+  in
+  let conj, green =
+    match plan.Plan.conjs with
+    | [ ({ Plan.derived = [ (vm, d) ]; _ } as c) ] ->
+      let recolour (f : Plan.pushed) = { f with Plan.p_range = green_parts } in
+      let d = { d with Plan.p_filter = List.map recolour d.Plan.p_filter } in
+      (c, { Plan.atoms = []; derived = [ (vm, d) ] })
+    | _ -> Alcotest.fail "expected one derived predicate on s"
+  in
+  let plan = { plan with Plan.conjs = [ conj; green ] } in
+  let coll = Collection.create db Strategy.s1234 plan in
+  Collection.run coll;
+  let result = Construction.run db plan (Combination.evaluate coll plan) in
+  let h_keys =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"vlist:ALL:h:" k)
+      (Collection.intermediate_sizes coll)
+  in
+  Alcotest.(check int) "two value lists for h" 2 (List.length h_keys);
+  let q = { q_red with body = f_or (no_part_of "red") (no_part_of "green") } in
+  Helpers.check_same_result "= naive" (Naive_eval.run db q) result
+
 let suite =
   [
     ( "quant_push",
@@ -202,5 +503,17 @@ let suite =
           test_nested_pushes_example_4_7;
         Alcotest.test_case "storage policies" `Quick
           test_storage_policies_via_pipeline;
+        Alcotest.test_case "no red part: h pushed after absorption" `Quick
+          test_no_red_part_absorbed;
+        Alcotest.test_case "absorption needs a bare join term" `Quick
+          test_absorb_needs_bare_join_term;
+        Alcotest.test_case "absorption keeps foreign atoms inside" `Quick
+          test_absorb_keeps_foreign_atoms_inside;
+        Alcotest.test_case "anti-join shapes = naive, all operators" `Slow
+          test_anti_join_differential;
+        Alcotest.test_case "anti-join with a $param range" `Quick
+          test_anti_join_prepared_param;
+        Alcotest.test_case "range filter is part of the memo key" `Quick
+          test_filter_in_memo_key;
       ] );
   ]
