@@ -815,57 +815,6 @@ let bench_prepared () =
     (scales [ 1 ])
 
 (* ------------------------------------------------------------------ *)
-(* B-VEC: the vectorized combination engine against the scalar
-   per-tuple emit, on the two largest B-ORDER scenarios.  Same plans,
-   same collection structures, tuple-for-tuple identical results (the
-   QCheck differential in the test suite proves it) — the gap is pure
-   kernel execution: column encode once per query, selection vectors,
-   integer-keyed join tables.  Median of 5, with the histogram
-   percentiles of the pass latencies. *)
-
-let bench_vec () =
-  section "B-VEC" "vectorized batch kernels vs scalar streaming emit";
-  let batched = Exec_opts.default_batch_size in
-  Fmt.pr "(batched arm uses batch_size %d)@." batched;
-  Fmt.pr "%-14s %-6s %-12s | %10s %10s %10s %10s@." "query" "scale" "engine"
-    "wall_ms" "p50" "p95" "p99";
-  let case qname scale strategy db q =
-    List.iter
-      (fun (ename, batch_size) ->
-        let report, ms, percentiles =
-          time_percentiles ~repeat:5 (fun () ->
-              exec_q_report
-                ~opts:(Exec_opts.make ~strategy ~batch_size ())
-                db q)
-        in
-        let p50, p95, p99 =
-          match percentiles with Some p -> p | None -> (ms, ms, ms)
-        in
-        record ~experiment:"B-VEC" ~query:qname ~strategy:ename ~scale
-          ~wall_ms:ms ~scans:report.Exec_result.scans
-          ~probes:report.Exec_result.probes
-          ~max_ntuple:report.Exec_result.max_ntuple ?percentiles
-          ~extra:[ ("batch_size", Obs.Json.Int batch_size) ]
-          ();
-        Fmt.pr "%-14s %-6d %-12s | %10.2f %10.2f %10.2f %10.2f@." qname scale
-          ename ms p50 p95 p99)
-      [ ("scalar", 1); ("batched", batched) ]
-  in
-  List.iter
-    (fun s ->
-      let db = Workload.University.generate (uni_params s) in
-      case "running" s Strategy.s12 db (Workload.Queries.running_query db))
-    (scales [ 2 ]);
-  List.iter
-    (fun s ->
-      let db =
-        Workload.Suppliers.generate (Workload.Suppliers.scaled ~seed:(7 + s) s)
-      in
-      case "no red part" s Strategy.s123 db
-        (Workload.Suppliers.ships_no_red_part db))
-    (scales [ 4 ])
-
-(* ------------------------------------------------------------------ *)
 (* B-INDEX: persistent secondary indexes as collection access paths.
    An equality restriction selecting ~1/1000 of shipments, executed
    prepared (the plan cache pays planning once, so the cells compare
@@ -1059,7 +1008,6 @@ let experiments =
     ("B-IDX", bench_permanent_indexes);
     ("B-CNF", bench_cnf);
     ("B-JOIN", bench_joins);
-    ("B-VEC", bench_vec);
     ("B-INDEX", bench_index);
     ("B-MICRO", bench_bechamel);
     (* The multi-domain experiment runs last: the serial experiments must

@@ -299,16 +299,6 @@ let join_order_arg =
           "Combination-phase join order: $(b,ordered) (greedy cost order, \
            default) or $(b,declaration) (the paper's literal baseline).")
 
-let batch_size_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "batch-size" ] ~docv:"N"
-        ~doc:
-          "Row window of the vectorized stream kernels.  $(b,1) forces \
-           the scalar per-tuple engine; the default comes from \
-           PASCALR_BATCH_SIZE or 2048.")
-
 let param_arg =
   Arg.(
     value & opt_all string []
@@ -440,7 +430,7 @@ let pool_pages_arg =
 
 let run_cmd =
   let go kind scale seed schema loads query file example strategy join_order
-      batch_size indexes no_index params verbose trace slow_ms trace_out
+      indexes no_index params verbose trace slow_ms trace_out
       pool_pages verbosity failpoints =
     setup_logs verbosity;
     arm_failpoints failpoints;
@@ -462,7 +452,7 @@ let run_cmd =
         in
         let opts =
           Exec_opts.make ~strategy:st
-            ~join_order:(join_order_of_flag join_order) ?batch_size
+            ~join_order:(join_order_of_flag join_order)
             ~use_index:(Exec_opts.default_use_index && not no_index) ()
         in
         let params = parse_params db params in
@@ -504,7 +494,7 @@ let run_cmd =
     Term.(
       const go $ db_arg $ scale_arg $ seed_arg $ schema_arg $ load_arg
       $ query_arg $ file_arg $ example_arg $ strategy_arg $ join_order_arg
-      $ batch_size_arg $ index_arg $ no_index_arg $ param_arg
+      $ index_arg $ no_index_arg $ param_arg
       $ verbose $ trace_arg $ slow_ms_arg
       $ trace_out_arg $ pool_pages_arg $ verbosity_arg $ failpoint_arg)
 
@@ -516,7 +506,7 @@ let run_cmd =
 
 let analyze_cmd =
   let go kind scale seed schema loads query file example strategy join_order
-      batch_size indexes no_index params repeat json show_trace slow_ms
+      indexes no_index params repeat json show_trace slow_ms
       trace_out pool_pages verbosity failpoints =
     setup_logs verbosity;
     arm_failpoints failpoints;
@@ -530,7 +520,7 @@ let analyze_cmd =
         in
         let opts =
           Exec_opts.make ~strategy:st
-            ~join_order:(join_order_of_flag join_order) ?batch_size
+            ~join_order:(join_order_of_flag join_order)
             ~use_index:(Exec_opts.default_use_index && not no_index) ()
         in
         let params = parse_params db params in
@@ -600,7 +590,7 @@ let analyze_cmd =
     Term.(
       const go $ db_arg $ scale_arg $ seed_arg $ schema_arg $ load_arg
       $ query_arg $ file_arg $ example_arg $ strategy_arg $ join_order_arg
-      $ batch_size_arg $ index_arg $ no_index_arg $ param_arg
+      $ index_arg $ no_index_arg $ param_arg
       $ repeat_arg $ json_arg $ trace_arg
       $ slow_ms_arg $ trace_out_arg $ pool_pages_arg $ verbosity_arg
       $ failpoint_arg)
@@ -616,7 +606,7 @@ let analyze_cmd =
 
 let stats_cmd =
   let go kind scale seed schema loads query file example strategy join_order
-      batch_size params repeat json slow_ms trace_out verbosity =
+      params repeat json slow_ms trace_out verbosity =
     setup_logs verbosity;
     Obs.Flight_recorder.set_slow_ms slow_ms;
     if repeat < 1 then begin
@@ -659,7 +649,7 @@ let stats_cmd =
             | None -> (Planner.choose db qq).Planner.d_strategy
           in
           Exec_opts.make ~strategy:st
-            ~join_order:(join_order_of_flag join_order) ?batch_size ()
+            ~join_order:(join_order_of_flag join_order) ()
         in
         let params = parse_params db params in
         let workload = List.map (fun qq -> (qq, opts_of qq)) workload in
@@ -733,7 +723,7 @@ let stats_cmd =
     Term.(
       const go $ db_arg $ scale_arg $ seed_arg $ schema_arg $ load_arg
       $ query_arg $ file_arg $ example_arg $ strategy_arg $ join_order_arg
-      $ batch_size_arg $ param_arg $ repeat_arg $ json_arg
+      $ param_arg $ repeat_arg $ json_arg
       $ slow_ms_arg
       $ trace_out_arg $ verbosity_arg)
 

@@ -191,11 +191,11 @@ let faults_json () =
    pipeline plus the per-operator fused/materialized tallies.  Fixed
    key lists (absent counters read as 0) keep the report shape stable
    across queries and engines. *)
-let fused_ops = [ "select"; "project"; "join"; "product"; "dedup" ]
+let fused_ops = [ "project"; "join"; "product" ]
 let materialized_ops =
   [ "select"; "project"; "join"; "product"; "union"; "divide"; "stream" ]
 
-let combination_json a =
+let combination_json () =
   let open Obs.Json in
   let tally prefix ops =
     Obj
@@ -211,14 +211,12 @@ let combination_json a =
         Int (Obs.Metrics.counter_value "combination.join_rows_out") );
       ("fused", tally "algebra.fused." fused_ops);
       ("materialized", tally "algebra.materialized." materialized_ops);
-      (* Vectorized-kernel traffic: the window size the analysis ran
-         under, rows entering / surviving the batched chains, and the
-         wall time spent inside the kernel loops.  All counters are zero
-         when batch_size = 1 (scalar execution). *)
+      (* Batch-kernel traffic: rows entering / surviving the stream
+         chains and the columnar divide, and the wall time spent inside
+         the kernel loops. *)
       ( "batch",
         Obj
           [
-            ("batch_size", Int a.a_opts.Exec_opts.batch_size);
             ("rows_in", Int (Obs.Metrics.counter_value "algebra.batch.rows_in"));
             ( "rows_out",
               Int (Obs.Metrics.counter_value "algebra.batch.rows_out") );
@@ -245,16 +243,19 @@ let plan_cache_json a =
    reshaped.  2: schema_version itself, cumulative per-digest "stats",
    the "flight_recorder" section, and plan_cache.hit_rate becoming a
    number (0.0 instead of null on zero lookups).  3: the
-   "combination.batch" counters and "parallel.batch_size" of the
-   vectorized execution path.  4: the "exec" section (the unified
+   "combination.batch" counters and the window size of the vectorized
+   execution path.  4: the "exec" section (the unified
    {!Exec_result.t}: rows, phase split, plan-cache outcome, txn/WAL
    activity) and the WAL/txn fault counters.  5: exec.access_paths
-   (per collection structure: probe/range/scan) and exec.join_algos
-   (per streaming join step: nlj/hash/batched-nlj) of the adaptive
-   access-path and join-algorithm selection.  6: the "parallel" section
-   and flight_recorder.recent[].jobs removed with intra-query
-   parallelism; batch_size moved to combination.batch.batch_size. *)
-let schema_version = 6
+   (per collection structure: probe/range/scan) and the per-step
+   join-algorithm report of the adaptive physical choices.  6: the
+   "parallel" section and flight_recorder.recent[].jobs removed with
+   intra-query parallelism; the window size moved under
+   combination.batch.  7: the join-algorithm report, the window size,
+   the combination.join.* trace counters and the fused select/dedup
+   tallies removed with the scalar stream engine (one combination
+   engine, no per-step algorithm choice, a fixed window). *)
+let schema_version = 7
 
 (* The last execution's unified result, as the executor reported it:
    the phase split from the execution clock, the plan-cache outcome of
@@ -276,8 +277,6 @@ let exec_json (r : Exec_result.t) =
       ( "access_paths",
         Obj
           (List.map (fun (k, p) -> (k, Str p)) r.Exec_result.access_paths) );
-      ( "join_algos",
-        Obj (List.map (fun (k, a) -> (k, Str a)) r.Exec_result.join_algos) );
       ( "cache",
         Str (Exec_result.cache_outcome_to_string r.Exec_result.cache) );
       ( "txn",
@@ -317,7 +316,7 @@ let to_json ~database ~scale db q a =
           (List.map
              (fun (k, n) -> (k, Int n))
              a.a_report.Exec_result.intermediates) );
-      ("combination", combination_json a);
+      ("combination", combination_json ());
       ("faults", faults_json ());
       ("plan_cache", plan_cache_json a);
       ( "stats",

@@ -53,8 +53,9 @@ val schema_version : int
     [flight_recorder] section, and made [plan_cache.hit_rate] a number
     (0.0 instead of null on zero lookups).  4 added the [exec] section
     (the unified {!Exec_result.t}) and the WAL/txn fault counters.  6
-    dropped the [parallel] section and [flight_recorder.recent[].jobs];
-    [batch_size] is reported under [combination.batch]. *)
+    dropped the [parallel] section and [flight_recorder.recent[].jobs].
+    7 dropped the join-algorithm report, the batch window size and
+    the fused select/dedup tallies with the scalar stream engine. *)
 
 val to_json : database:string -> scale:int -> Database.t -> Calculus.query -> t -> Obs.Json.t
 (** The full analyze document: query, strategy, totals, per-phase rows,

@@ -41,8 +41,6 @@ type t = {
   schemas : Schema.t Var_map.t;
   cache : (string, entry) Hashtbl.t;
   mutable perm_installed : bool;
-  batch_size : int;
-      (* window size of the vectorized stream kernels; 1 = scalar *)
   batch_pool : Batch.pool;
       (* one interning pool per query: every stream chain of the
          combination phase shares it, so a base single list padded into
@@ -72,7 +70,7 @@ let var_schemas db (plan : Plan.t) =
     (fun acc e -> bind acc (e.Normalize.v, e.Normalize.range))
     acc plan.Plan.prefix
 
-let create ?(batch_size = 1) ?(use_index = true) db strategy plan =
+let create ?(use_index = true) db strategy plan =
   {
     db;
     strategy;
@@ -80,13 +78,11 @@ let create ?(batch_size = 1) ?(use_index = true) db strategy plan =
     schemas = var_schemas db plan;
     cache = Hashtbl.create 64;
     perm_installed = false;
-    batch_size = max 1 batch_size;
     batch_pool = Batch.create_pool ();
     use_index;
     access = Hashtbl.create 16;
   }
 
-let batch_size t = t.batch_size
 let batch_pool t = t.batch_pool
 
 let var_schema t v = Var_map.find v t.schemas

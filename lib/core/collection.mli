@@ -21,24 +21,18 @@ type component =
       (** indirect join: reference relation [<@v1, @v2>] *)
 
 val create :
-  ?batch_size:int ->
   ?use_index:bool ->
   Database.t ->
   Strategy.t ->
   Plan.t ->
   t
-(** [?batch_size] (clamped to at least 1; default 1) is the
-    window size of the combination phase's vectorized stream kernels —
-    [1] keeps the scalar per-tuple emit.  [?use_index] (default true)
-    lets structure builds be driven by declared secondary indexes:
-    an equality restriction becomes an index probe, an order
-    restriction a sorted range scan while its exact matching fraction
-    stays at or below [Cost.range_scan_max_fraction]; every predicate
-    is still re-checked per enumerated tuple, so indexed and scanned
-    builds produce the same structures. *)
-
-val batch_size : t -> int
-(** The batch size given to {!create}. *)
+(** [?use_index] (default true) lets structure builds be driven by
+    declared secondary indexes: an equality restriction becomes an
+    index probe, an order restriction a sorted range scan while its
+    exact matching fraction stays at or below
+    [Cost.range_scan_max_fraction]; every predicate is still re-checked
+    per enumerated tuple, so indexed and scanned builds produce the
+    same structures. *)
 
 val batch_pool : t -> Relalg.Batch.pool
 (** The query-scoped interning pool every combination-phase stream

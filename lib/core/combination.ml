@@ -222,9 +222,7 @@ let pad_to coll target rel =
         (Stream.of_relation ~pool:(Collection.batch_pool coll) rel)
         missing
     in
-    Stream.materialize
-      ~batch_size:(Collection.batch_size coll)
-      ~name:"refrel" (Stream.project s target)
+    Stream.materialize ~name:"refrel" (Stream.project s target)
   end
 
 (* Combine one conjunction's components in greedy cost order (true
@@ -232,14 +230,7 @@ let pad_to coll target rel =
    then project the eagerly eliminable variables away in the same
    streaming pass.  Returns [None] for a component-less conjunction
    (constant TRUE). *)
-(* Map the cost model's choice onto the stream kernel's scalar arm. *)
-let impl_of_algo = function
-  | Cost.J_nlj -> Stream.Jnlj
-  | Cost.J_hash -> Stream.Jhash
-  | Cost.J_batched_nlj -> Stream.Jshared_nlj
-
-let combine_streaming ?force_join ~label ~record coll (plan : Plan.t) order
-    components =
+let combine_streaming coll (plan : Plan.t) order components =
   match List.map rel_of components with
   | [] -> None
   | rels ->
@@ -253,17 +244,14 @@ let combine_streaming ?force_join ~label ~record coll (plan : Plan.t) order
           })
         rels
     in
-    let arr = Array.of_list rels
-    and inputs_arr = Array.of_list inputs in
+    let arr = Array.of_list rels in
     let ordered =
-      List.map
-        (fun i -> (arr.(i), inputs_arr.(i)))
-        (Cost.greedy_join_order inputs)
+      List.map (fun i -> arr.(i)) (Cost.greedy_join_order inputs)
     in
-    let first = fst (List.hd ordered) and rest = List.tl ordered in
+    let first = List.hd ordered and rest = List.tl ordered in
     let cols =
       List.fold_left
-        (fun acc (r, _) ->
+        (fun acc r ->
           acc @ List.filter (fun c -> not (List.mem c acc)) (columns r))
         (columns first) rest
     in
@@ -278,51 +266,8 @@ let combine_streaming ?force_join ~label ~record coll (plan : Plan.t) order
     if rest = [] && List.equal String.equal (columns first) out_cols then
       Some first (* already in shape: share the collection structure *)
     else begin
-      (* Adaptive per-step algorithm over the TRUE build-side
-         statistics (the inputs are materialized): build cardinality
-         and the distinct count of the join key — approximated from
-         below by the largest per-column distinct count over the shared
-         columns, which is conservative (it can only under-report
-         distinctness, steering borderline builds toward the shared
-         probe walk rather than an oversized hash table). *)
-      let step = ref 0 in
       let stream =
-        List.fold_left
-          (fun s (r, (ji : Cost.join_input)) ->
-            incr step;
-            let shared =
-              List.filter
-                (fun c -> Schema.mem (Stream.schema s) c)
-                ji.Cost.ji_cols
-            in
-            if shared = [] then Stream.natural_join s r
-            else begin
-              let build_distinct =
-                List.fold_left
-                  (fun acc c ->
-                    match List.assoc_opt c ji.Cost.ji_distinct with
-                    | Some d -> max acc d
-                    | None -> acc)
-                  1 shared
-              in
-              let algo =
-                match force_join with
-                | Some a -> a
-                | None ->
-                  Cost.choose_join_algo ~build_card:ji.Cost.ji_card
-                    ~build_distinct
-              in
-              Obs.Metrics.incr
-                ("combination.join."
-                ^ (match algo with
-                  | Cost.J_nlj -> "nlj"
-                  | Cost.J_hash -> "hash"
-                  | Cost.J_batched_nlj -> "batched_nlj"));
-              record
-                (Fmt.str "%s.j%d:%s" label !step (Relation.name r))
-                (Cost.join_algo_to_string algo);
-              Stream.natural_join ~impl:(impl_of_algo algo) s r
-            end)
+        List.fold_left Stream.natural_join
           (Stream.of_relation ~pool:(Collection.batch_pool coll) first)
           rest
       in
@@ -331,242 +276,188 @@ let combine_streaming ?force_join ~label ~record coll (plan : Plan.t) order
         then stream
         else Stream.project stream out_cols
       in
-      Some
-        (Stream.materialize
-           ~batch_size:(Collection.batch_size coll)
-           ~name:"refrel" stream)
+      Some (Stream.materialize ~name:"refrel" stream)
     end
 
-(* Batched universal elimination: the pad -> union -> divide pipeline
-   of one Q_all quantifier executed entirely over interned integer
-   columns.  The scalar pipeline materializes the padded cohort members
-   and their union into whole-tuple-keyed relations — one deep
-   structural hash per inserted reference tuple, tens of thousands of
-   inserts whose only purpose is to feed the division.  Here each
-   cohort member is encoded once (cached in the query pool), the padded
-   rows are enumerated as integer rows with an odometer over the
-   member x base-list cross product, the division groups by
-   integer quotient keys, and only the quotient — typically a few
-   rows — is decoded back into a relation.
+(* Universal elimination: the pad -> union -> divide pipeline of one
+   Q_all quantifier executed entirely over interned integer columns.
+   Materializing the padded cohort members and their union into
+   whole-tuple-keyed relations would cost one deep structural hash per
+   inserted reference tuple — tens of thousands of inserts whose only
+   purpose is to feed the division.  Here each cohort member is encoded
+   once (cached in the query pool), the padded rows are enumerated as
+   integer rows with an odometer over the member x base-list cross
+   product, the division groups by integer quotient keys, and only the
+   quotient — typically a few rows — is decoded back into a relation.
 
-   Set-equivalence with the scalar path: interning is injective, so
-   integer-row equality is tuple equality within the pool; the union's
-   set semantics fall out of the image sets (duplicate (quotient,
-   image) pairs collapse); cover checks compare the same sets of
-   values.  Returns [None] — caller falls back to the scalar pipeline —
-   if anything fails to encode or the paired column classes disagree.
-   Counter caveat: relation scan/insert counters do not move for the
-   skipped intermediates (the batch.rows counters do instead);
-   max_ntuple accounting is identical, because the distinct-row count
-   of the virtual union is grown exactly like the materialized one. *)
-let eliminate_all_batched coll (plan : Plan.t) grow ~v ~common cohort =
+   Set-equivalence with pad/union/{!Algebra.divide}: interning is
+   injective, so integer-row equality is tuple equality within the
+   pool; the union's set semantics fall out of the image sets
+   (duplicate (quotient, image) pairs collapse); cover checks compare
+   the same sets of values.  Counter caveat: relation scan/insert
+   counters do not move for the skipped intermediates (the batch.rows
+   counters do instead); max_ntuple grows by the distinct-row count of
+   the virtual union, exactly as for a materialized one. *)
+let eliminate_all coll (plan : Plan.t) grow ~v ~common cohort =
   let pool = Collection.batch_pool coll in
-  try
-    let t0 = Unix.gettimeofday () in
-    (* Reference type per common column, from the first cohort member
-       carrying it; the padded schema of the scalar path derives its
-       attribute types from the same sources. *)
-    let type_of_col c =
-      let rec go = function
-        | [] -> raise Batch.Unbatchable
-        | d :: rest ->
-          let sd = Relation.schema d in
-          if Schema.mem sd c then Schema.type_of sd c else go rest
-      in
-      go cohort
-    in
-    let ref_types = List.map type_of_col common in
-    let ref_cls = Array.of_list (List.map Batch.cls_of_type ref_types) in
-    let k = List.length common in
-    let vq =
-      match List.find_index (String.equal v) common with
-      | Some i -> i
-      | None -> raise Batch.Unbatchable
-    in
-    (* Per cohort member: sources = the member plus one base list per
-       missing column; map each common column to its source's encoded
-       column, refusing on any column-class mismatch. *)
-    let members =
-      List.map
-        (fun d ->
-          let sd = Relation.schema d in
-          let missing =
-            List.filter (fun c -> not (Schema.mem sd c)) common
-          in
-          let inputs = d :: List.map (Collection.base_list coll) missing in
-          let views =
-            List.map
-              (fun r ->
-                (* The whole pipeline here is order-insensitive (groups,
-                   image sets, distinct counts), so a member that was
-                   materialized by the batched stream engine can reuse
-                   the insertion-order columns it registered. *)
-                let e = Batch.encode_relation_unordered pool r in
-                ( Relation.schema r,
-                  Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e) ))
-              inputs
-          in
-          let locate j c =
-            let rec go si = function
-              | [] -> raise Batch.Unbatchable
-              | (s, view) :: rest ->
-                if Schema.mem s c then begin
-                  if Batch.cls_of_type (Schema.type_of s c) <> ref_cls.(j)
-                  then raise Batch.Unbatchable;
-                  (si, view.Batch.cols.(Schema.index_of s c))
-                end
-                else go (si + 1) rest
-            in
-            go 0 views
-          in
-          let mapping = Array.of_list (List.mapi locate common) in
-          let dims =
-            Array.of_list (List.map (fun (_, b) -> b.Batch.nrows) views)
-          in
-          (mapping, dims))
-        cohort
-    in
-    let divisor_rel = Collection.base_list coll v in
-    let divisor_view =
-      let e = Batch.encode_relation pool divisor_rel in
-      Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e)
-    in
-    let sdv = Relation.schema divisor_rel in
-    if Batch.cls_of_type (Schema.type_of sdv v) <> ref_cls.(vq) then
-      raise Batch.Unbatchable;
-    let divisor_col = divisor_view.Batch.cols.(Schema.index_of sdv v) in
-    (* Everything below is pure integer work — no Unbatchable, so no
-       counter can double-bump on fallback. *)
-    let divisor_set = Hashtbl.create 64 in
-    for r = 0 to divisor_view.Batch.nrows - 1 do
-      Hashtbl.replace divisor_set (Batch.cell divisor_col r) ()
-    done;
-    let needed = Hashtbl.length divisor_set in
-    (* Group the virtual union by quotient key, collecting the image
-       set of v per group; count distinct rows for the max_ntuple
-       accounting. *)
-    let groups : (int, unit) Hashtbl.t Batch.Ikey.t =
-      Batch.Ikey.create 256
-    in
-    let dividend_card = ref 0 in
-    let rows_in = ref 0 in
-    List.iter
-      (fun (mapping, dims) ->
-        let nsrc = Array.length dims in
-        let total = Array.fold_left ( * ) 1 dims in
-        if total > 0 then begin
-          rows_in := !rows_in + total;
-          (* Quotient-ordered (source, column) pairs and a reusable key
-             buffer: the loop below allocates only when a new quotient
-             group first appears (the key is copied on insert), and the
-             image-set membership test rides the single [replace]'s
-             length delta instead of a separate [mem]. *)
-          let qmap =
-            Array.init (k - 1) (fun j -> mapping.(if j < vq then j else j + 1))
-          in
-          let vsi, vcol = mapping.(vq) in
-          let qkey = Array.make (k - 1) 0 in
-          let idx = Array.make nsrc 0 in
-          let live = ref true in
-          let rec bump i =
-            if i < 0 then live := false
-            else begin
-              idx.(i) <- idx.(i) + 1;
-              if idx.(i) = dims.(i) then begin
-                idx.(i) <- 0;
-                bump (i - 1)
-              end
+  let t0 = Unix.gettimeofday () in
+  (* Reference type per common column, from the first cohort member
+     carrying it (every common column comes from some member). *)
+  let type_of_col c =
+    Schema.type_of
+      (List.find (fun sd -> Schema.mem sd c) (List.map Relation.schema cohort))
+      c
+  in
+  let ref_types = List.map type_of_col common in
+  let k = List.length common in
+  let vq = Option.get (List.find_index (String.equal v) common) in
+  (* Per cohort member: sources = the member plus one base list per
+     missing column; map each common column to its source's encoded
+     column. *)
+  let members =
+    List.map
+      (fun d ->
+        let sd = Relation.schema d in
+        let missing = List.filter (fun c -> not (Schema.mem sd c)) common in
+        let inputs = d :: List.map (Collection.base_list coll) missing in
+        let views =
+          List.map
+            (fun r ->
+              (* The whole pipeline here is order-insensitive (groups,
+                 image sets, distinct counts), so a member materialized
+                 by the stream engine can reuse the insertion-order
+                 columns it registered. *)
+              let e = Batch.encode_relation_unordered pool r in
+              ( Relation.schema r,
+                Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e) ))
+            inputs
+        in
+        let locate c =
+          Option.get
+            (List.find_mapi
+               (fun si (s, view) ->
+                 if Schema.mem s c then
+                   Some (si, view.Batch.cols.(Schema.index_of s c))
+                 else None)
+               views)
+        in
+        let mapping = Array.of_list (List.map locate common) in
+        let dims =
+          Array.of_list (List.map (fun (_, b) -> b.Batch.nrows) views)
+        in
+        (mapping, dims))
+      cohort
+  in
+  let divisor_rel = Collection.base_list coll v in
+  let divisor_col =
+    let e = Batch.encode_relation pool divisor_rel in
+    (Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e)).Batch.cols.(
+      Schema.index_of (Relation.schema divisor_rel) v)
+  in
+  let divisor_set = Hashtbl.create 64 in
+  Array.iter (fun id -> Hashtbl.replace divisor_set id ()) divisor_col;
+  let needed = Hashtbl.length divisor_set in
+  (* Group the virtual union by quotient key, collecting the image set
+     of v per group; count distinct rows for the max_ntuple
+     accounting. *)
+  let groups : (int, unit) Hashtbl.t Batch.Ikey.t = Batch.Ikey.create 256 in
+  let dividend_card = ref 0 in
+  let rows_in = ref 0 in
+  List.iter
+    (fun (mapping, dims) ->
+      let nsrc = Array.length dims in
+      let total = Array.fold_left ( * ) 1 dims in
+      if total > 0 then begin
+        rows_in := !rows_in + total;
+        (* Quotient-ordered (source, column) pairs and a reusable key
+           buffer: the loop below allocates only when a new quotient
+           group first appears (the key is copied on insert), and the
+           image-set membership test rides the single [replace]'s
+           length delta instead of a separate [mem]. *)
+        let qmap =
+          Array.init (k - 1) (fun j -> mapping.(if j < vq then j else j + 1))
+        in
+        let vsi, vcol = mapping.(vq) in
+        let qkey = Array.make (k - 1) 0 in
+        let idx = Array.make nsrc 0 in
+        let live = ref true in
+        let rec bump i =
+          if i < 0 then live := false
+          else begin
+            idx.(i) <- idx.(i) + 1;
+            if idx.(i) = dims.(i) then begin
+              idx.(i) <- 0;
+              bump (i - 1)
             end
+          end
+        in
+        while !live do
+          for j = 0 to k - 2 do
+            let si, col = qmap.(j) in
+            qkey.(j) <- col.(idx.(si))
+          done;
+          let img = vcol.(idx.(vsi)) in
+          let images =
+            match Batch.Ikey.find_opt groups qkey with
+            | Some set -> set
+            | None ->
+              let set = Hashtbl.create 8 in
+              Batch.Ikey.replace groups (Array.copy qkey) set;
+              set
           in
-          while !live do
-            for j = 0 to k - 2 do
-              let si, col = qmap.(j) in
-              qkey.(j) <- Batch.cell col idx.(si)
-            done;
-            let img = Batch.cell vcol idx.(vsi) in
-            let images =
-              match Batch.Ikey.find_opt groups qkey with
-              | Some set -> set
-              | None ->
-                let set = Hashtbl.create 8 in
-                Batch.Ikey.replace groups (Array.copy qkey) set;
-                set
-            in
-            let before = Hashtbl.length images in
-            Hashtbl.replace images img ();
-            if Hashtbl.length images <> before then incr dividend_card;
-            bump (nsrc - 1)
-          done
-        end)
-      members;
-    (match cohort with
-    | [ d ] when List.equal String.equal (columns d) common -> ()
-    | _ -> Obs.Metrics.incr "algebra.materialized.union");
-    grow !dividend_card;
-    let result =
-      if k = 1 then begin
-        (* Boolean degeneration: does the cohort's v set cover the
-           whole range?  (Vacuously yes over an empty divisor.) *)
-        let images =
-          match Batch.Ikey.find_opt groups [||] with
-          | Some set -> set
-          | None -> Hashtbl.create 1
-        in
-        let covered =
-          Hashtbl.length images >= needed
-          && Hashtbl.fold
-               (fun d () acc -> acc && Hashtbl.mem images d)
-               divisor_set true
-        in
-        if covered then [ true_disjunct coll plan ] else []
-      end
-      else begin
-        Obs.Metrics.incr "algebra.materialized.divide";
-        let quotient_names = List.filter (fun c -> not (String.equal c v)) common in
-        let dividend_schema =
-          Schema.make
-            (List.map2 (fun c ty -> Schema.attr c ty) common ref_types)
-            ~key:[]
-        in
-        let out =
-          Relation.create ~name:"refrel"
-            (Schema.project dividend_schema quotient_names)
-        in
-        let q_cls =
-          Array.init (k - 1) (fun j -> ref_cls.(if j < vq then j else j + 1))
-        in
-        let decode_insert qkey =
-          Relation.insert out
-            (Array.mapi
-               (fun j id ->
-                 match q_cls.(j) with
-                 | Batch.K_int -> Value.VInt id
-                 | Batch.K_bool -> Value.VBool (id <> 0)
-                 | Batch.K_obj -> Batch.value pool id)
-               qkey)
-        in
-        Batch.Ikey.iter
-          (fun qkey images ->
-            let covers =
-              needed = 0
-              || Hashtbl.length images >= needed
-                 && Hashtbl.fold
-                      (fun d () acc -> acc && Hashtbl.mem images d)
-                      divisor_set true
-            in
-            if covers then decode_insert qkey)
-          groups;
-        [ out ]
-      end
-    in
-    let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-    Obs.Metrics.incr ~by:!rows_in "algebra.batch.rows_in";
-    Obs.Metrics.incr
-      ~by:(match result with [ r ] -> Relation.cardinality r | _ -> 0)
-      "algebra.batch.rows_out";
-    Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
-    Some result
-  with Batch.Unbatchable -> None
+          let before = Hashtbl.length images in
+          Hashtbl.replace images img ();
+          if Hashtbl.length images <> before then incr dividend_card;
+          bump (nsrc - 1)
+        done
+      end)
+    members;
+  (match cohort with
+  | [ d ] when List.equal String.equal (columns d) common -> ()
+  | _ -> Obs.Metrics.incr "algebra.materialized.union");
+  grow !dividend_card;
+  let covers images =
+    Hashtbl.length images >= needed
+    && Hashtbl.fold (fun d () acc -> acc && Hashtbl.mem images d) divisor_set true
+  in
+  let result =
+    if k = 1 then begin
+      (* Boolean degeneration: does the cohort's v set cover the whole
+         range?  (Vacuously yes over an empty divisor.) *)
+      let images =
+        match Batch.Ikey.find_opt groups [||] with
+        | Some set -> set
+        | None -> Hashtbl.create 1
+      in
+      if covers images then [ true_disjunct coll plan ] else []
+    end
+    else begin
+      Obs.Metrics.incr "algebra.materialized.divide";
+      let quotient_names = List.filter (fun c -> not (String.equal c v)) common in
+      let dividend_schema =
+        Schema.make
+          (List.map2 (fun c ty -> Schema.attr c ty) common ref_types)
+          ~key:[]
+      in
+      let out =
+        Relation.create ~name:"refrel"
+          (Schema.project dividend_schema quotient_names)
+      in
+      Batch.Ikey.iter
+        (fun qkey images ->
+          if covers images then
+            Relation.insert out (Array.map (Batch.value pool) qkey))
+        groups;
+      [ out ]
+    end
+  in
+  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  Obs.Metrics.incr ~by:!rows_in "algebra.batch.rows_in";
+  Obs.Metrics.incr
+    ~by:(match result with [ r ] -> Relation.cardinality r | _ -> 0)
+    "algebra.batch.rows_out";
+  Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
+  result
 
 (* Disjunct-wise right-to-left quantifier elimination over the LIST of
    conjunction relations (heterogeneous column sets); see the header
@@ -601,43 +492,13 @@ let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
               let cohort, others = List.partition (fun d -> has_col d v) djs in
               match cohort with
               | [] -> djs (* no disjunct constrains v: ∀v is vacuous *)
-              | _ -> (
+              | _ ->
                 let common =
                   canonical order
                     (List.sort_uniq String.compare
                        (List.concat_map columns cohort))
                 in
-                match
-                  if Collection.batch_size coll > 1 then
-                    eliminate_all_batched coll plan grow ~v ~common cohort
-                  else None
-                with
-                | Some reduced -> reduced @ others
-                | None ->
-                let dividend =
-                  match cohort with
-                  | [ d ] when List.equal String.equal (columns d) common -> d
-                  | _ ->
-                    Obs.Trace.with_span "union" (fun () ->
-                        let padded = List.map (pad_to coll common) cohort in
-                        Algebra.union_all ~name:"refrel"
-                          (Relation.schema (List.hd padded))
-                          padded)
-                in
-                grow (Relation.cardinality dividend);
-                let divisor = Collection.base_list coll v in
-                if List.equal String.equal common [ v ] then
-                  (* boolean: does the cohort cover the whole range? *)
-                  if
-                    Relation.for_all
-                      (fun t -> Relation.mem_tuple dividend t)
-                      divisor
-                  then true_disjunct coll plan :: others
-                  else others
-                else
-                  Algebra.divide ~name:"refrel" ~on:[ (v, v) ] dividend
-                    divisor
-                  :: others))
+                eliminate_all coll plan grow ~v ~common cohort @ others)
           in
           let total =
             List.fold_left (fun n d -> n + Relation.cardinality d) 0 reduced
@@ -647,7 +508,7 @@ let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
     disjuncts
     (List.rev plan.Plan.prefix)
 
-let evaluate_streaming ?force_join ~record coll (plan : Plan.t) grow =
+let evaluate_streaming coll (plan : Plan.t) grow =
   let order = Plan.variable_order plan in
   let free_names = List.map fst plan.Plan.free in
   let disjuncts =
@@ -656,11 +517,7 @@ let evaluate_streaming ?force_join ~record coll (plan : Plan.t) grow =
         Obs.Trace.with_span (Fmt.str "conjunction %d" i) (fun () ->
             let components = Collection.components coll conj in
             let r =
-              match
-                combine_streaming ?force_join
-                  ~label:(Fmt.str "conj%d" i)
-                  ~record coll plan order components
-              with
+              match combine_streaming coll plan order components with
               | Some r -> r
               | None -> true_disjunct coll plan
             in
@@ -690,40 +547,23 @@ let evaluate_streaming ?force_join ~record coll (plan : Plan.t) grow =
 (* ------------------------------------------------------------------ *)
 
 (* Full combination phase.  Returns the reference relation over the
-   free variables (declaration order), the cardinality of the largest
-   n-tuple relation built on the way — the combinatorial-growth metric
-   of the experiments — and the join algorithm chosen per streaming
-   join step (empty under the Declaration engine, whose joins are the
-   literal baseline and take no adaptive choice). *)
-type outcome = {
-  o_result : Relation.t;
-  o_max_ntuple : int;
-  o_join_algos : (string * string) list;
-}
+   free variables (declaration order) and the cardinality of the
+   largest n-tuple relation built on the way — the combinatorial-growth
+   metric of the experiments. *)
+type outcome = { o_result : Relation.t; o_max_ntuple : int }
 
-let evaluate_outcome ?(join_order = Cost_ordered) ?force_join coll
-    (plan : Plan.t) =
+let evaluate_outcome ?(join_order = Cost_ordered) coll (plan : Plan.t) =
   let max_ntuple = ref 0 in
   let grow n =
     max_ntuple := max !max_ntuple n;
     Obs.Metrics.gauge_max "combination.max_ntuple" (float_of_int !max_ntuple)
   in
-  let joins = ref [] in
-  let record step algo = joins := (step, algo) :: !joins in
   let result =
     match join_order with
-    | Cost_ordered -> evaluate_streaming ?force_join ~record coll plan grow
+    | Cost_ordered -> evaluate_streaming coll plan grow
     | Declaration -> evaluate_declaration coll plan grow
   in
-  {
-    o_result = result;
-    o_max_ntuple = !max_ntuple;
-    o_join_algos = List.rev !joins;
-  }
+  { o_result = result; o_max_ntuple = !max_ntuple }
 
-let evaluate_with_stats ?join_order ?force_join coll plan =
-  let o = evaluate_outcome ?join_order ?force_join coll plan in
-  (o.o_result, o.o_max_ntuple)
-
-let evaluate ?join_order ?force_join coll plan =
-  fst (evaluate_with_stats ?join_order ?force_join coll plan)
+let evaluate ?join_order coll plan =
+  (evaluate_outcome ?join_order coll plan).o_result

@@ -45,8 +45,6 @@ type t = {
       (* sizes of all collection-phase structures *)
   access_paths : (string * string) list;
       (* collection structure key -> "probe" | "range" | "scan" *)
-  join_algos : (string * string) list;
-      (* streaming join step -> "nlj" | "hash" | "batched-nlj" *)
   collection_ms : float;
   combination_ms : float;
   construction_ms : float;

@@ -37,9 +37,6 @@ type t = {
       (** access path per collection structure: ["probe"]
           (secondary-index equality), ["range"] (sorted-index range
           scan) or ["scan"] (heap scan) *)
-  join_algos : (string * string) list;
-      (** join algorithm per streaming combination step: ["nlj"],
-          ["hash"] or ["batched-nlj"] *)
   collection_ms : float;
   combination_ms : float;
   construction_ms : float;

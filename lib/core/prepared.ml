@@ -158,10 +158,8 @@ let ground t db provided =
 let exec_in ?name ~params (clock : Observe.clock) db t =
   let plan = ground t db params in
   let coll =
-    Collection.create
-      ~batch_size:t.p_opts.Exec_opts.batch_size
-      ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
-      plan
+    Collection.create ~use_index:t.p_opts.Exec_opts.use_index db
+      t.p_opts.Exec_opts.strategy plan
   in
   clock.time Observe.Collection (fun () ->
       Obs.Trace.with_span "collection" (fun () -> Collection.run coll));
@@ -169,7 +167,7 @@ let exec_in ?name ~params (clock : Observe.clock) db t =
     clock.time Observe.Combination (fun () ->
         Obs.Trace.with_span "combination" (fun () ->
             Combination.evaluate ~join_order:t.p_opts.Exec_opts.join_order
-              ?force_join:t.p_opts.Exec_opts.force_join coll plan))
+              coll plan))
   in
   clock.time Observe.Construction (fun () ->
       Obs.Trace.with_span "construction" (fun () ->
@@ -190,10 +188,8 @@ let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
   Database.reset_counters db;
   let plan = ground t db params in
   let coll =
-    Collection.create
-      ~batch_size:t.p_opts.Exec_opts.batch_size
-      ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
-      plan
+    Collection.create ~use_index:t.p_opts.Exec_opts.use_index db
+      t.p_opts.Exec_opts.strategy plan
   in
   clock.time Observe.Collection (fun () ->
       Obs.Trace.with_span "collection" (fun () -> Collection.run coll));
@@ -201,8 +197,7 @@ let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
     clock.time Observe.Combination (fun () ->
         Obs.Trace.with_span "combination" (fun () ->
             Combination.evaluate_outcome
-              ~join_order:t.p_opts.Exec_opts.join_order
-              ?force_join:t.p_opts.Exec_opts.force_join coll plan))
+              ~join_order:t.p_opts.Exec_opts.join_order coll plan))
   in
   let refs = outcome.Combination.o_result in
   let result =
@@ -219,7 +214,6 @@ let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
     max_ntuple = outcome.Combination.o_max_ntuple;
     intermediates = Collection.intermediate_sizes coll;
     access_paths = Collection.access_paths coll;
-    join_algos = outcome.Combination.o_join_algos;
     collection_ms = clock.elapsed Observe.Collection;
     combination_ms = clock.elapsed Observe.Combination;
     construction_ms = clock.elapsed Observe.Construction;

@@ -301,276 +301,114 @@ let divide ?(name = fresh_name "divide") ~on r s =
     out
   end
 
-(* Fused streaming form of the operators above (combination-phase hot
-   path).  A stream is a push producer: [emit k] drives every tuple of
-   the (virtual) result through the consumer [k].  Chaining streams
-   composes the per-tuple callbacks directly, so an operator chain
-   allocates exactly one output relation — at the final {!Stream.
-   materialize} — instead of one hashtable-backed relation per operator.
-   Joins hash the materialized build side once (lazily, inside the
-   single [emit] run) and probe it with the streamed tuples. *)
+(* Fused streaming form of the operators above (the combination
+   phase's hot path).  A stream describes a kernel chain over one source
+   relation; {!Stream.materialize} encodes the source once into pool-id
+   columns ({!Batch}), drives it through the chain in [window]-row
+   batches and decodes the surviving rows into the chain's one output
+   relation — instead of one hashtable-backed relation per operator.
+   Each operator is a kernel over batches: projections share columns,
+   joins build an integer-keyed table on the materialized side once and
+   probe it with the streamed rows. *)
 module Stream = struct
-  (* Alongside the scalar [emit], a stream carries an optional batched
-     (columnar) description of itself.  The source relation is encoded
-     once into column arrays and driven through the chain in windows of
-     [batch_size] rows; each operator is a kernel over batches
-     (selection vectors, column shares, integer-keyed hash tables)
-     instead of a per-tuple callback.  [bt_force] performs the encodes
-     of every build side (it may raise {!Batch.Unbatchable}, in which
-     case {!materialize} falls back to the scalar emit before any
-     counter has moved); [bt_stage] instantiates the kernel chain once
-     the build sides are forced, bumping each operator's per-run tallies
-     exactly as the scalar emit would.  Kernels reproduce the scalar
-     emission order exactly — see each operator's comment. *)
-  type bstage = {
-    bfeed : (Batch.t -> unit) -> Batch.t -> unit;
-    bflush : unit -> unit;
-        (* report the instance's row counters — called once, after the
-           last window is fed *)
-  }
-
-  type bat_chain = {
-    bt_pool : Batch.pool;
-    bt_force : unit -> unit;
-    bt_stage : unit -> bstage;
+  (* One instantiated chain: [feed k b] pushes a window through the
+     kernels into [k]; [flush] reports the per-run row counters, once,
+     after the last window. *)
+  type stage = {
+    feed : (Batch.t -> unit) -> Batch.t -> unit;
+    flush : unit -> unit;
   }
 
   type t = {
     schema : Schema.t;
     src : Relation.t;  (* the relation the chain pulls from *)
-    emit : (Tuple.t -> unit) -> unit;
-    bat : bat_chain option;
+    pool : Batch.pool;
+    stage : unit -> stage;
+        (* instantiate the chain: the upstream operators first, so build
+           sides are encoded (and their tallies bumped) in chain order *)
   }
 
   let schema s = s.schema
   let fused op = Obs.Metrics.incr ("algebra.fused." ^ op)
 
   let of_relation ?pool rel =
-    let bt_pool =
-      match pool with Some p -> p | None -> Batch.create_pool ()
-    in
     {
       schema = Relation.schema rel;
       src = rel;
-      emit = (fun k -> Relation.iter k rel);
-      bat =
-        Some
-          {
-            bt_pool;
-            bt_force = (fun () -> ());
-            bt_stage =
-              (fun () -> { bfeed = (fun k -> k); bflush = (fun () -> ()) });
-          };
+      pool = (match pool with Some p -> p | None -> Batch.create_pool ());
+      stage = (fun () -> { feed = (fun k -> k); flush = (fun () -> ()) });
     }
 
-  let extend_bat bc ~force ~prime ~stage =
-    {
-      bc with
-      bt_force =
-        (fun () ->
-          bc.bt_force ();
-          force ());
-      bt_stage =
-        (fun () ->
-          let up = bc.bt_stage () in
-          prime ();
-          stage up);
-    }
+  (* Append one operator: [op] receives the instantiated upstream stage
+     and returns the extended one. *)
+  let extend s schema op = { s with schema; stage = (fun () -> op (s.stage ())) }
 
-  let no_force () = ()
-
-  let select pred s =
-    {
-      s with
-      emit =
-        (fun k ->
-          fused "select";
-          s.emit (fun t -> if pred t then k t));
-      (* Opaque predicates take boxed tuples, so the kernel decodes each
-         live row once and refines the selection vector — downstream
-         kernels never look at the dropped rows again. *)
-      bat =
-        Option.map
-          (extend_bat ~force:no_force
-             ~prime:(fun () -> fused "select")
-             ~stage:(fun up ->
-               {
-                 bfeed =
-                   (fun k ->
-                     up.bfeed (fun b ->
-                         k (Batch.filter b (fun i -> pred (Batch.tuple b i)))));
-                 bflush = up.bflush;
-               }))
-          s.bat;
-    }
-
+  (* Columnar projection shares the retained column arrays — no per-row
+     work at all.  Duplicates pass through; the materialization's
+     whole-tuple key collapses them. *)
   let project s names =
     let positions = positions_of s.schema names in
-    {
-      s with
-      schema = Schema.project s.schema names;
-      emit =
-        (fun k ->
-          fused "project";
-          s.emit (fun t -> k (Tuple.project positions t)));
-      (* Columnar projection shares the retained column arrays — no
-         per-row work at all. *)
-      bat =
-        Option.map
-          (extend_bat ~force:no_force
-             ~prime:(fun () -> fused "project")
-             ~stage:(fun up ->
-               {
-                 bfeed = (fun k -> up.bfeed (fun b -> k (Batch.project b positions)));
-                 bflush = up.bflush;
-               }))
-          s.bat;
-    }
+    extend s (Schema.project s.schema names) (fun up ->
+        fused "project";
+        {
+          up with
+          feed = (fun k -> up.feed (fun b -> k (Batch.project b positions)));
+        })
 
-  (* Streaming duplicate elimination: a projection can multiply the rows
-     every downstream operator touches, so collapse duplicates as they
-     pass rather than waiting for the materialization's key table. *)
-  let dedup s =
-    {
-      s with
-      emit =
-        (fun k ->
-          fused "dedup";
-          let seen = Value_key.acreate 64 in
-          s.emit (fun t ->
-              if not (Value_key.Atable.mem seen t) then begin
-                Value_key.Atable.replace seen t ();
-                k t
-              end));
-      (* Batched dedup keeps a seen-set of integer rows: hashing machine
-         ints instead of re-walking nested reference keys per tuple.
-         First occurrences pass in arrival order, so the output matches
-         the scalar path. *)
-      bat =
-        (let arity = Schema.arity s.schema in
-         let positions = Array.init arity Fun.id in
-         Option.map
-           (extend_bat ~force:no_force
-              ~prime:(fun () -> fused "dedup")
-              ~stage:(fun up ->
-                let seen = Batch.Ikey.create 64 in
-                {
-                  bfeed =
-                    (fun k ->
-                      up.bfeed (fun b ->
-                          k
-                            (Batch.filter b (fun i ->
-                                 let key = Batch.key_of_row b.Batch.cols positions i in
-                                 if Batch.Ikey.mem seen key then false
-                                 else begin
-                                   Batch.Ikey.replace seen key ();
-                                   true
-                                 end))));
-                  bflush = up.bflush;
-                }))
-           s.bat);
-    }
-
+  (* Every probe row pairs with every inner row.  The inner encode is
+     walked last-to-first, the order {!product} above emits, so both
+     forms insert the same rows in the same order (output relations
+     iterate in insertion order within a hash bucket). *)
   let product s rel =
-    let out_schema = Schema.concat s.schema (Relation.schema rel) in
-    let bat =
-      match s.bat with
-      | None -> None
-      | Some bc ->
-        (* The scalar path folds the inner relation into a cons list —
-           i.e. *reversed* iteration order — so the kernel walks the
-           iteration-order encode backwards to emit identical rows. *)
-        let enc = lazy (Batch.encode_relation bc.bt_pool rel) in
-        Some
-          (extend_bat bc
-             ~force:(fun () -> ignore (Lazy.force enc : Batch.encoded))
-             ~prime:(fun () ->
-               fused "product";
-               Obs.Metrics.incr
-                 ~by:(Relation.cardinality rel)
-                 "combination.join_rows_in")
-             ~stage:(fun up ->
-               let e = Lazy.force enc in
-               let ni = Batch.encoded_rows e in
-               let ib = Batch.of_encoded bc.bt_pool e ~off:0 ~len:ni in
-               let n_in = ref 0 and n_out = ref 0 in
-               {
-                 bfeed =
-                   (fun k ->
-                     up.bfeed (fun b ->
-                         let lc = Batch.live_count b in
-                         n_in := !n_in + lc;
-                         let m = lc * ni in
-                         if m > 0 then begin
-                           n_out := !n_out + m;
-                           let pidx = Array.make m 0 and iidx = Array.make m 0 in
-                           let j = ref 0 in
-                           Batch.live_iter
-                             (fun i ->
-                               for r = ni - 1 downto 0 do
-                                 pidx.(!j) <- i;
-                                 iidx.(!j) <- r;
-                                 incr j
-                               done)
-                             b;
-                           let cols =
-                             Array.append
-                               (Batch.gather_cols b.Batch.cols pidx)
-                               (Batch.gather_cols ib.Batch.cols iidx)
-                           in
-                           k (Batch.of_cols bc.bt_pool cols m)
-                         end));
-                 bflush =
-                   (fun () ->
-                     up.bflush ();
-                     Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                     Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-               }))
-    in
-    {
-      s with
-      schema = out_schema;
-      emit =
-        (fun k ->
-          fused "product";
-          let inner = Relation.fold (fun acc t -> t :: acc) [] rel in
-          let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-          s.emit (fun ta ->
-              incr n_in;
-              List.iter
-                (fun tb ->
-                  incr n_out;
-                  k (Tuple.concat ta tb))
-                inner);
-          Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-          Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-      bat;
-    }
-
-  (* Which physical algorithm the scalar arm of {!natural_join} runs.
-     The choice is the caller's (the combination phase's cost model);
-     the operator guarantees identical output for all three. *)
-  type join_impl = Jhash | Jnlj | Jshared_nlj
+    extend s
+      (Schema.concat s.schema (Relation.schema rel))
+      (fun up ->
+        fused "product";
+        Obs.Metrics.incr ~by:(Relation.cardinality rel) "combination.join_rows_in";
+        let e = Batch.encode_relation s.pool rel in
+        let ni = Batch.encoded_rows e in
+        let ib = Batch.of_encoded s.pool e ~off:0 ~len:ni in
+        let n_in = ref 0 and n_out = ref 0 in
+        {
+          feed =
+            (fun k ->
+              up.feed (fun b ->
+                  let lc = Batch.live_count b in
+                  n_in := !n_in + lc;
+                  let m = lc * ni in
+                  if m > 0 then begin
+                    n_out := !n_out + m;
+                    let pidx = Array.make m 0 and iidx = Array.make m 0 in
+                    let j = ref 0 in
+                    Batch.live_iter
+                      (fun i ->
+                        for r = ni - 1 downto 0 do
+                          pidx.(!j) <- i;
+                          iidx.(!j) <- r;
+                          incr j
+                        done)
+                      b;
+                    let cols =
+                      Array.append
+                        (Batch.gather_cols b.Batch.cols pidx)
+                        (Batch.gather_cols ib.Batch.cols iidx)
+                    in
+                    k (Batch.of_cols s.pool cols m)
+                  end));
+          flush =
+            (fun () ->
+              up.flush ();
+              Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
+              Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
+        })
 
   (* Natural join with the stream as probe side and a materialized
-     relation as build side.  When the build side contributes no new
-     columns this degenerates to a semijoin: one emission per matching
-     probe tuple, regardless of the bucket/match-list size.
-
-     Three scalar implementations share the operator: the hash join
-     (build a key table, probe per tuple), plain nested loops (walk the
-     build side per probe — no build cost, wins on tiny builds), and
-     shared nested loops (memoize the inner walk per distinct probe
-     key, so duplicate-heavy probe streams pay one walk per key).  All
-     three emit the SAME sequence: the hash table's buckets are
-     cons-built in iteration order and walked front-first — reverse
-     iteration order — and the nested-loop inner list is built by a
-     consing fold over the same iteration, so per-probe matches surface
-     in the identical order whichever algorithm runs.  The batched arm
-     therefore always runs the hash machinery: output is byte-identical,
-     and that arm is only active at cardinalities where hashing wins
-     anyway. *)
-  let natural_join ?(impl = Jhash) s rel =
+     relation as build side: a hash join over integer keys.  Build
+     buckets cons row indices in iteration order and are walked
+     front-first.  When the build side contributes no new columns this
+     degenerates to a semijoin: one emission per matching probe row,
+     regardless of the bucket size. *)
+  let natural_join s rel =
     let sa = s.schema and sb = Relation.schema rel in
     let shared = List.filter (fun n -> Schema.mem sa n) (Schema.names sb) in
     match shared with
@@ -584,299 +422,123 @@ module Stream = struct
       let out_schema =
         if keep_b = [] then sa else Schema.concat sa (Schema.project sb keep_b)
       in
-      let table =
-        lazy
-          (let tbl = Value_key.acreate (max 16 (Relation.cardinality rel)) in
-           Relation.iter
-             (fun tb -> Value_key.add_multi_a tbl (join_key pb tb) tb)
-             rel;
-           tbl)
-      in
-      let probe tbl ta per_match =
-        match Value_key.Atable.find_opt tbl (join_key pa ta) with
-        | None -> ()
-        | Some tbs ->
-          if keep_b = [] then per_match ta
-          else
-            List.iter
-              (fun tb -> per_match (Tuple.concat_project ta keep_positions tb))
-              tbs
-      in
-      (* Integer keys are only comparable when the paired columns encode
-         into the same class (a raw int on one side and a pool id on the
-         other would collide meaninglessly), so the batched form exists
-         only when every shared attribute's classes agree.  Build
-         buckets cons row indices in iteration order and are walked
-         front-first — exactly the scalar table's LIFO bucket order. *)
-      let classes_ok =
-        let ok = ref true in
-        Array.iteri
-          (fun idx ca ->
-            if
-              Batch.cls_of_type (Schema.type_at sa ca)
-              <> Batch.cls_of_type (Schema.type_at sb pb.(idx))
-            then ok := false)
-          pa;
-        !ok
-      in
-      let bat =
-        match s.bat with
-        | Some bc when classes_ok ->
-          let built =
-            lazy
-              (let e = Batch.encode_relation bc.bt_pool rel in
-               let nb = Batch.encoded_rows e in
-               let eb = Batch.of_encoded bc.bt_pool e ~off:0 ~len:nb in
-               let tbl = Batch.Ikey.create (max 16 nb) in
-               for r = 0 to nb - 1 do
-                 let key = Batch.key_of_row eb.Batch.cols pb r in
-                 match Batch.Ikey.find_opt tbl key with
-                 | Some rows -> Batch.Ikey.replace tbl key (r :: rows)
-                 | None -> Batch.Ikey.replace tbl key [ r ]
-               done;
-               eb, tbl)
-          in
-          Some
-            (extend_bat bc
-               ~force:(fun () ->
-                 ignore (Lazy.force built : Batch.t * int list Batch.Ikey.t))
-               ~prime:(fun () ->
-                 fused "join";
-                 Obs.Metrics.incr
-                   ~by:(Relation.cardinality rel)
-                   "combination.join_rows_in")
-               ~stage:(fun up ->
-                 let eb, tbl = Lazy.force built in
-                 let n_in = ref 0 and n_out = ref 0 in
-                 {
-                   bfeed =
-                     (fun k ->
-                       up.bfeed (fun b ->
-                           n_in := !n_in + Batch.live_count b;
-                           if keep_b = [] then begin
-                             (* Semijoin degeneration: keep the probe
-                                rows whose key has a bucket. *)
-                             let out =
-                               Batch.filter b (fun i ->
-                                   Batch.Ikey.mem tbl
-                                     (Batch.key_of_row b.Batch.cols pa i))
-                             in
-                             let lc = Batch.live_count out in
-                             if lc > 0 then begin
-                               n_out := !n_out + lc;
-                               k out
-                             end
-                           end
-                           else begin
-                             let pidx = Batch.Ivec.create ()
-                             and bidx = Batch.Ivec.create () in
-                             Batch.live_iter
-                               (fun i ->
-                                 match
-                                   Batch.Ikey.find_opt tbl
-                                     (Batch.key_of_row b.Batch.cols pa i)
-                                 with
-                                 | None -> ()
-                                 | Some rows ->
-                                   List.iter
-                                     (fun r ->
-                                       Batch.Ivec.push pidx i;
-                                       Batch.Ivec.push bidx r)
-                                     rows)
-                               b;
-                             let m = Batch.Ivec.length pidx in
-                             if m > 0 then begin
-                               n_out := !n_out + m;
-                               let pidx = Batch.Ivec.to_array pidx
-                               and bidx = Batch.Ivec.to_array bidx in
-                               let keep_src =
-                                 Array.map
-                                   (fun c -> eb.Batch.cols.(c))
-                                   keep_positions
-                               in
-                               let cols =
-                                 Array.append
-                                   (Batch.gather_cols b.Batch.cols pidx)
-                                   (Batch.gather_cols keep_src bidx)
-                               in
-                               k (Batch.of_cols bc.bt_pool cols m)
-                             end
-                           end));
-                   bflush =
-                     (fun () ->
-                       up.bflush ();
-                       Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                       Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-                 }))
-        | _ -> None
-      in
-      (* The nested-loop arms' inner list: (key, tuple) pairs consed in
-         iteration order, so its head is the LAST iterated tuple — the
-         exact order the hash table's buckets are walked in. *)
-      let keyed_inner =
-        lazy (Relation.fold (fun acc tb -> (join_key pb tb, tb) :: acc) [] rel)
-      in
-      let keys_equal ka kb =
-        let n = Array.length ka in
-        Array.length kb = n
-        &&
-        let rec go i = i >= n || (Value.equal ka.(i) kb.(i) && go (i + 1)) in
-        go 0
-      in
-      let emit_matches ta matches n_out k =
-        if keep_b = [] then begin
-          if matches <> [] then begin
-            incr n_out;
-            k ta
-          end
-        end
-        else
-          List.iter
-            (fun tb ->
-              incr n_out;
-              k (Tuple.concat_project ta keep_positions tb))
-            matches
-      in
-      let scalar_emit =
-        match impl with
-        | Jhash ->
-          fun k ->
-            fused "join";
-            let tbl = Lazy.force table in
-            let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-            s.emit (fun ta ->
-                incr n_in;
-                probe tbl ta (fun t ->
-                    incr n_out;
-                    k t));
-            Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-            Obs.Metrics.incr ~by:!n_out "combination.join_rows_out"
-        | Jnlj ->
-          fun k ->
-            fused "join";
-            let inner = Lazy.force keyed_inner in
-            let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-            s.emit (fun ta ->
-                incr n_in;
-                let ka = join_key pa ta in
-                if keep_b = [] then begin
-                  if List.exists (fun (kb, _) -> keys_equal ka kb) inner
-                  then begin
-                    incr n_out;
-                    k ta
-                  end
-                end
-                else
-                  List.iter
-                    (fun (kb, tb) ->
-                      if keys_equal ka kb then begin
-                        incr n_out;
-                        k (Tuple.concat_project ta keep_positions tb)
-                      end)
-                    inner);
-            Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-            Obs.Metrics.incr ~by:!n_out "combination.join_rows_out"
-        | Jshared_nlj ->
-          fun k ->
-            fused "join";
-            let inner = Lazy.force keyed_inner in
-            let memo : Tuple.t list Value_key.atable =
-              Value_key.acreate 64
-            in
-            let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-            s.emit (fun ta ->
-                incr n_in;
-                let ka = join_key pa ta in
-                let matches =
-                  match Value_key.Atable.find_opt memo ka with
-                  | Some ms -> ms
-                  | None ->
-                    let ms =
-                      List.filter_map
-                        (fun (kb, tb) ->
-                          if keys_equal ka kb then Some tb else None)
-                        inner
-                    in
-                    Value_key.Atable.replace memo ka ms;
-                    ms
-                in
-                emit_matches ta matches n_out k);
-            Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-            Obs.Metrics.incr ~by:!n_out "combination.join_rows_out"
-      in
-      { s with schema = out_schema; emit = scalar_emit; bat }
+      extend s out_schema (fun up ->
+          fused "join";
+          Obs.Metrics.incr ~by:(Relation.cardinality rel) "combination.join_rows_in";
+          let e = Batch.encode_relation s.pool rel in
+          let nb = Batch.encoded_rows e in
+          let eb = Batch.of_encoded s.pool e ~off:0 ~len:nb in
+          let tbl = Batch.Ikey.create (max 16 nb) in
+          for r = 0 to nb - 1 do
+            let key = Batch.key_of_row eb.Batch.cols pb r in
+            match Batch.Ikey.find_opt tbl key with
+            | Some rows -> Batch.Ikey.replace tbl key (r :: rows)
+            | None -> Batch.Ikey.replace tbl key [ r ]
+          done;
+          let keep_src = Array.map (fun c -> eb.Batch.cols.(c)) keep_positions in
+          let n_in = ref 0 and n_out = ref 0 in
+          {
+            feed =
+              (fun k ->
+                up.feed (fun b ->
+                    n_in := !n_in + Batch.live_count b;
+                    if keep_b = [] then begin
+                      let out =
+                        Batch.filter b (fun i ->
+                            Batch.Ikey.mem tbl (Batch.key_of_row b.Batch.cols pa i))
+                      in
+                      let lc = Batch.live_count out in
+                      if lc > 0 then begin
+                        n_out := !n_out + lc;
+                        k out
+                      end
+                    end
+                    else begin
+                      let pidx = Batch.Ivec.create ()
+                      and bidx = Batch.Ivec.create () in
+                      Batch.live_iter
+                        (fun i ->
+                          match
+                            Batch.Ikey.find_opt tbl
+                              (Batch.key_of_row b.Batch.cols pa i)
+                          with
+                          | None -> ()
+                          | Some rows ->
+                            List.iter
+                              (fun r ->
+                                Batch.Ivec.push pidx i;
+                                Batch.Ivec.push bidx r)
+                              rows)
+                        b;
+                      let m = Batch.Ivec.length pidx in
+                      if m > 0 then begin
+                        n_out := !n_out + m;
+                        let cols =
+                          Array.append
+                            (Batch.gather_cols b.Batch.cols
+                               (Batch.Ivec.to_array pidx))
+                            (Batch.gather_cols keep_src
+                               (Batch.Ivec.to_array bidx))
+                        in
+                        k (Batch.of_cols s.pool cols m)
+                      end
+                    end));
+            flush =
+              (fun () ->
+                up.flush ();
+                Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
+                Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
+          })
+
+  (* Rows per window: big enough to amortize the per-batch dispatch,
+     small enough that a join's gather buffers stay cache-resident. *)
+  let window = 2048
 
   (* The chain's one output relation.  The schema is re-keyed on the
      whole tuple (set semantics, like every intermediate reference
-     relation), and the insertions skip the per-value domain check:
-     every emitted tuple is a projection/concatenation of tuples from
-     already-checked relations. *)
-  let materialize ?(batch_size = 1) ?name s =
-    (* Both arms preallocate the output key table from the source
-       cardinality (the output bound of a select/project/dedup/join
-       chain over it) and replay the same insertion sequence, so the
-       resulting relation iterates identically whichever arm ran. *)
-    let out_relation () =
+     relation), preallocated from the source cardinality (the output
+     bound of a project/join chain over it), and the insertions skip
+     the per-value domain check: every emitted tuple is a
+     projection/concatenation of tuples from already-checked
+     relations. *)
+  let materialize ?name s =
+    let enc = Batch.encode_relation s.pool s.src in
+    Obs.Metrics.incr "algebra.materialized.stream";
+    let n = Batch.encoded_rows enc in
+    let out =
       Relation.create ?name ~size_hint:(Relation.cardinality s.src)
         (Schema.make (Schema.attrs s.schema) ~key:[])
     in
-    let scalar () =
-      Obs.Metrics.incr "algebra.materialized.stream";
-      let out = out_relation () in
-      s.emit (Relation.insert_unchecked out);
-      out
+    let rows_out = ref 0 in
+    let t0 = Unix.gettimeofday () in
+    let chain = s.stage () in
+    (* Accumulate the inserted rows' pool ids alongside the decode, and
+       register them as the output's insertion-order encode — a later
+       set-semantics pass (the columnar divide) then reuses these
+       columns instead of re-interning the whole intermediate. *)
+    let acc = Batch.acc_create (Schema.arity s.schema) in
+    let sink ob =
+      Batch.live_iter
+        (fun i ->
+          incr rows_out;
+          let before = Relation.cardinality out in
+          Relation.insert_unchecked out (Batch.tuple ob i);
+          if Relation.cardinality out <> before then Batch.acc_push acc ob i)
+        ob
     in
-    (* Batched execution: encode the source once, drive [batch_size]-row
-       windows through the kernel chain, decode the surviving rows into
-       the output.  [bt_force] runs before any counter moves, so an
-       {!Batch.Unbatchable} encode falls back to the scalar arm with
-       identical observable behaviour. *)
-    let batched bc =
-      let enc = Batch.encode_relation bc.bt_pool s.src in
-      bc.bt_force ();
-      Obs.Metrics.incr "algebra.materialized.stream";
-      let n = Batch.encoded_rows enc in
-      let out = out_relation () in
-      let rows_out = ref 0 in
-      let t0 = Unix.gettimeofday () in
-      let inst = bc.bt_stage () in
-      (* Accumulate the inserted rows' integer cells alongside the
-         decode, and register them as the output's insertion-order
-         encode — a later set-semantics pass (the columnar divide) then
-         reuses these columns instead of re-interning the whole
-         intermediate. *)
-      let acc =
-        Batch.acc_create
-          (Array.init (Schema.arity s.schema) (fun c ->
-               Batch.cls_of_type (Schema.type_at s.schema c)))
-      in
-      let sink ob =
-        Batch.live_iter
-          (fun i ->
-            incr rows_out;
-            let before = Relation.cardinality out in
-            Relation.insert_unchecked out (Batch.tuple ob i);
-            if Relation.cardinality out <> before then Batch.acc_push acc ob i)
-          ob
-      in
-      let off = ref 0 in
-      while !off < n do
-        let len = min batch_size (n - !off) in
-        inst.bfeed sink (Batch.of_encoded bc.bt_pool enc ~off:!off ~len);
-        off := !off + len
-      done;
-      inst.bflush ();
-      Batch.register_unordered bc.bt_pool out (Batch.acc_finish acc);
-      let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-      Obs.Metrics.incr ~by:n "algebra.batch.rows_in";
-      Obs.Metrics.incr ~by:!rows_out "algebra.batch.rows_out";
-      Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
-      out
-    in
-    match s.bat with
-    | Some bc when batch_size > 1 -> (
-      try batched bc with Batch.Unbatchable -> scalar ())
-    | _ -> scalar ()
+    let off = ref 0 in
+    while !off < n do
+      let len = min window (n - !off) in
+      chain.feed sink (Batch.of_encoded s.pool enc ~off:!off ~len);
+      off := !off + len
+    done;
+    chain.flush ();
+    Batch.register_unordered s.pool out (Batch.acc_finish acc);
+    let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+    Obs.Metrics.incr ~by:n "algebra.batch.rows_in";
+    Obs.Metrics.incr ~by:!rows_out "algebra.batch.rows_out";
+    Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
+    out
 end
 
 let cardinality = Relation.cardinality

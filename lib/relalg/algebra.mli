@@ -83,11 +83,12 @@ val divide :
 
 val cardinality : Relation.t -> int
 
-(** Fused streaming operators: push producers whose per-tuple callbacks
-    compose directly, so a whole operator chain allocates one output
-    relation (at {!Stream.materialize}) instead of one per operator.
-    Joins build their hash table on the materialized side once and probe
-    it with the streamed tuples; counters
+(** Fused streaming operators: the combination phase's one engine.  A
+    stream describes a kernel chain over one source relation, so a
+    whole operator chain allocates one output relation (at
+    {!Stream.materialize}) instead of one per operator.  Joins build an
+    integer-keyed table on the materialized side once and probe it with
+    the streamed rows; counters
     [combination.join_rows_in]/[combination.join_rows_out] and the
     [algebra.fused.*] tallies record the traffic. *)
 module Stream : sig
@@ -101,39 +102,26 @@ module Stream : sig
       into several disjuncts is encoded once.  Defaults to a fresh
       pool per chain. *)
 
-  val select : (Tuple.t -> bool) -> t -> t
-
   val project : t -> string list -> t
-  (** Streaming projection; duplicates pass through — follow with
-      {!dedup} when fan-out matters. *)
+  (** Streaming projection; duplicates pass through to the
+      materialization, whose whole-tuple key collapses them. *)
 
-  val dedup : t -> t
-  (** Streaming duplicate elimination (hash set over whole tuples). *)
-
-  type join_impl =
-    | Jhash  (** build a key table, probe per stream tuple *)
-    | Jnlj  (** walk the build side per probe — no build cost *)
-    | Jshared_nlj
-        (** memoize the inner walk per distinct probe key: duplicate
-            probes share one pass *)
-
-  val natural_join : ?impl:join_impl -> t -> Relation.t -> t
-  (** Natural join: the stream probes, the relation is the build side.
-      [?impl] (default {!Jhash}) selects the scalar algorithm; all
-      three emit the identical tuple sequence, so the batched arm
-      always runs the hash machinery.  Degenerates to a
-      semijoin when the build side adds no columns, and to {!product}
-      when no attribute names are shared. *)
+  val natural_join : t -> Relation.t -> t
+  (** Natural join: the stream probes, the relation is the build side
+      of a hash join.  Degenerates to a semijoin when the build side
+      adds no columns, and to {!product} when no attribute names are
+      shared. *)
 
   val product : t -> Relation.t -> t
 
-  val materialize : ?batch_size:int -> ?name:string -> t -> Relation.t
-  (** Run the chain once, collecting into a whole-tuple-keyed relation.
+  val window : int
+  (** Rows per batch that {!materialize} drives through the chain. *)
 
-      With [batch_size > 1] and a source-rooted chain, the source is
-      encoded into column arrays and driven through vectorized kernels
-      in [batch_size]-row windows; the output is tuple-for-tuple
-      identical to the scalar emit (which remains the [batch_size = 1]
-      differential oracle).  A chain that cannot encode (exotic values,
-      mismatched join column classes) silently runs the scalar path. *)
+  val materialize : ?name:string -> t -> Relation.t
+  (** Run the chain once, collecting into a whole-tuple-keyed relation:
+      the source is encoded into pool-id columns ({!Batch}) and driven
+      through the kernels in {!window}-row batches, and the surviving
+      rows are decoded into the output.  As a set the result equals
+      that of the materialized top-level operators over the same
+      inputs. *)
 end

@@ -1,22 +1,18 @@
 (* Column-major tuple batches for the vectorized stream kernels.
 
-   A batch holds a few thousand rows of one schema as column arrays:
-   integer and boolean components are unboxed ([int array] / one byte
-   per row in [Bytes]), everything else — strings, enums, references —
-   is interned into a chain-scoped {!pool} and stored as [int array] of
-   pool ids.  Interning pays each value's structural hash (deep for the
-   nested-key references the combination phase traffics in) exactly once
-   per distinct value per chain; every downstream kernel — selection,
-   projection, duplicate elimination, hash join build/probe — then works
-   on machine integers.
+   A batch holds a few thousand rows of one schema as column arrays.
+   Every value is interned into a chain-scoped {!pool} and stored as an
+   [int array] of pool ids.  Interning pays each value's structural hash
+   (deep for the nested-key references the combination phase traffics
+   in) exactly once per distinct value per chain; every downstream
+   kernel — projection, semijoin filtering, hash join build/probe,
+   division grouping — then works on machine integers.
 
    Equality is preserved by construction: interning is injective with
    respect to {!Value.equal}, so two rows are {!Tuple.equal} iff their
-   encoded integer rows are component-wise equal (integer columns store
-   the value itself, boolean columns the 0/1 byte, interned columns the
-   pool id).  That makes integer-row comparison a sound implementation
-   of tuple comparison inside one pool — the invariant the batched
-   kernels rest on.
+   encoded integer rows are component-wise equal.  That makes
+   integer-row comparison a sound implementation of tuple comparison
+   inside one pool — the invariant the kernels rest on.
 
    A batch also carries an optional selection vector: the ascending live
    row indices.  Filters refine the vector instead of compacting the
@@ -31,11 +27,9 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type col = C_int of int array | C_bool of Bytes.t | C_obj of int array
-
 (* One encoded relation, kept in the pool's cache: all columns in the
    relation's (uninstrumented) iteration order. *)
-type encoded = { e_cols : col array; e_rows : int }
+type encoded = { e_cols : int array array; e_rows : int }
 
 type pool = {
   mutable vals : Value.t array;  (* id -> the interned value *)
@@ -44,25 +38,18 @@ type pool = {
   mutable cache : (Relation.t * int * encoded) list;
       (* per-relation encodes, keyed by physical identity + version *)
   mutable ucache : (Relation.t * int * encoded) list;
-      (* encodes registered by the batched materializer in INSERTION
-         order — the same row set as [cache] would hold but not
-         necessarily the relation's iteration order; only
-         order-insensitive consumers may look here *)
+      (* encodes registered by the materializer in INSERTION order —
+         the same row set as [cache] would hold but not necessarily the
+         relation's iteration order; only order-insensitive consumers
+         may look here *)
 }
 
 type t = {
-  cols : col array;
+  cols : int array array;     (* one column of pool ids per attribute *)
   nrows : int;                (* physical length of every column *)
   sel : int array option;     (* ascending live row indices; None = all *)
   pool : pool;
 }
-
-(* Raised when a value does not fit its column's declared class (a
-   non-integer in a TInt column, say).  Tuples written through the
-   checked insertion path can never trigger it; the stream kernels treat
-   it as "this chain is not batchable" and fall back to the scalar
-   emit. *)
-exception Unbatchable
 
 let create_pool () =
   {
@@ -90,47 +77,14 @@ let intern pool v =
 
 let value pool id = pool.vals.(id)
 
-(* Column class per attribute domain.  Integer-like and boolean domains
-   get unboxed columns; everything else goes through the pool.  Enums
-   could store their ordinal, but interning returns the physically
-   original value — no reconstruction subtleties — and enum columns are
-   tiny-cardinality anyway. *)
-type cls = K_int | K_bool | K_obj
-
-let cls_of_type = function
-  | Vtype.TInt _ -> K_int
-  | Vtype.TBool -> K_bool
-  | Vtype.TStr _ | Vtype.TEnum _ | Vtype.TRef _ -> K_obj
-
 (* --- Encoding ------------------------------------------------------- *)
 
-let encode_rows pool schema rows nrows =
-  let arity = Schema.arity schema in
+let encode_rows pool arity rows nrows =
   let cols =
     Array.init arity (fun c ->
-        match cls_of_type (Schema.type_at schema c) with
-        | K_int ->
-          let a = Array.make nrows 0 in
-          List.iteri
-            (fun r (t : Tuple.t) ->
-              match t.(c) with
-              | Value.VInt n -> a.(r) <- n
-              | _ -> raise Unbatchable)
-            rows;
-          C_int a
-        | K_bool ->
-          let b = Bytes.make nrows '\000' in
-          List.iteri
-            (fun r (t : Tuple.t) ->
-              match t.(c) with
-              | Value.VBool x -> if x then Bytes.set b r '\001'
-              | _ -> raise Unbatchable)
-            rows;
-          C_bool b
-        | K_obj ->
-          let a = Array.make nrows 0 in
-          List.iteri (fun r (t : Tuple.t) -> a.(r) <- intern pool t.(c)) rows;
-          C_obj a)
+        let a = Array.make nrows 0 in
+        List.iteri (fun r (t : Tuple.t) -> a.(r) <- intern pool t.(c)) rows;
+        a)
   in
   { e_cols = cols; e_rows = nrows }
 
@@ -149,14 +103,18 @@ let encode_relation pool rel =
   | Some enc -> enc
   | None ->
     let rows = List.rev (Relation.fold (fun acc t -> t :: acc) [] rel) in
-    let enc = encode_rows pool (Relation.schema rel) rows (Relation.cardinality rel) in
+    let enc =
+      encode_rows pool
+        (Schema.arity (Relation.schema rel))
+        rows (Relation.cardinality rel)
+    in
     pool.cache <-
       (rel, version, enc) :: List.filter (fun (r, _, _) -> r != rel) pool.cache;
     enc
 
 let encoded_rows enc = enc.e_rows
 
-(* The batched materializer hands over the columns it just decoded and
+(* The materializer hands over the columns it just decoded and
    inserted, so a later (order-insensitive) pass over the same relation
    skips the re-encode — for a large intermediate that is the single
    biggest cost of the columnar divide. *)
@@ -204,27 +162,10 @@ let live_iter f b =
     done
   | Some s -> Array.iter f s
 
-(* The integer image of one cell: the value itself (int), the 0/1 byte
-   (bool) or the pool id (interned).  Comparable across batches of one
-   pool when the column classes agree. *)
-let cell col row =
-  match col with
-  | C_int a -> a.(row)
-  | C_bool b -> Char.code (Bytes.get b row)
-  | C_obj a -> a.(row)
-
-let cell_value pool col row =
-  match col with
-  | C_int a -> Value.VInt a.(row)
-  | C_bool b -> Value.VBool (Bytes.get b row <> '\000')
-  | C_obj a -> pool.vals.(a.(row))
-
 (* Decode one row back to a boxed tuple (the per-row adapter at the
    stream boundary).  Interned cells return the physically original
-   value, so reference-typed hot paths re-box nothing but the tuple
-   array itself. *)
-let tuple b row =
-  Array.init (Array.length b.cols) (fun c -> cell_value b.pool b.cols.(c) row)
+   value, so the hot paths re-box nothing but the tuple array itself. *)
+let tuple b row = Array.map (fun col -> b.pool.vals.(col.(row))) b.cols
 
 (* --- Kernel building blocks ----------------------------------------- *)
 
@@ -243,24 +184,12 @@ let filter b pred =
 let project b positions =
   { b with cols = Array.map (fun c -> b.cols.(c)) positions }
 
-(* Integer key of a row over the named columns — the unit the dedup sets
-   and join tables hash. *)
-let key_of_row cols positions row =
-  Array.map (fun c -> cell cols.(c) row) positions
+(* Integer key of a row over the named columns — the unit the join
+   tables hash. *)
+let key_of_row cols positions row = Array.map (fun c -> cols.(c).(row)) positions
 
-let gather_col col idx =
-  let n = Array.length idx in
-  match col with
-  | C_int a -> C_int (Array.init n (fun i -> a.(idx.(i))))
-  | C_bool b ->
-    let out = Bytes.make n '\000' in
-    for i = 0 to n - 1 do
-      Bytes.set out i (Bytes.get b idx.(i))
-    done;
-    C_bool out
-  | C_obj a -> C_obj (Array.init n (fun i -> a.(idx.(i))))
-
-let gather_cols cols idx = Array.map (fun c -> gather_col c idx) cols
+let gather_cols cols idx =
+  Array.map (fun a -> Array.map (fun i -> a.(i)) idx) cols
 
 (* Dense batch from gathered columns. *)
 let of_cols pool cols nrows = { cols; nrows; sel = None; pool }
@@ -287,35 +216,21 @@ end
 
 (* --- Output accumulator ---------------------------------------------- *)
 
-(* Collects the integer cells of rows the batched materializer actually
-   inserted (duplicates skipped by the destination relation are skipped
-   here too), and rebuilds them into an [encoded] for
-   [register_unordered].  Column classes come from the destination
-   schema so an empty output still yields well-shaped columns. *)
-type acc = { a_cls : cls array; a_vecs : Ivec.t array }
+(* Collects the pool ids of rows the materializer actually inserted
+   (duplicates skipped by the destination relation are skipped here
+   too), and rebuilds them into an [encoded] for [register_unordered].
+   One vector per destination attribute, so an empty output still
+   yields well-shaped columns. *)
+type acc = Ivec.t array
 
-let acc_create cls =
-  { a_cls = cls; a_vecs = Array.map (fun _ -> Ivec.create ()) cls }
+let acc_create arity = Array.init arity (fun _ -> Ivec.create ())
 
 let acc_push acc b row =
-  Array.iteri (fun c vec -> Ivec.push vec (cell b.cols.(c) row)) acc.a_vecs
+  Array.iteri (fun c vec -> Ivec.push vec b.cols.(c).(row)) acc
 
 let acc_finish acc =
-  let n = if Array.length acc.a_vecs = 0 then 0 else Ivec.length acc.a_vecs.(0) in
-  let cols =
-    Array.mapi
-      (fun c vec ->
-        let a = Ivec.to_array vec in
-        match acc.a_cls.(c) with
-        | K_int -> C_int a
-        | K_obj -> C_obj a
-        | K_bool ->
-          let b = Bytes.make n '\000' in
-          Array.iteri (fun r x -> if x <> 0 then Bytes.set b r '\001') a;
-          C_bool b)
-      acc.a_vecs
-  in
-  { e_cols = cols; e_rows = n }
+  let n = if Array.length acc = 0 then 0 else Ivec.length acc.(0) in
+  { e_cols = Array.map Ivec.to_array acc; e_rows = n }
 
 (* --- Integer-row hash tables ----------------------------------------- *)
 

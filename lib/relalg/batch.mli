@@ -1,18 +1,15 @@
 (** Column-major tuple batches for the vectorized stream kernels.
 
-    Fixed-width components (integers, booleans) are stored unboxed
-    ([int array], one byte per row in [Bytes]); strings, enums and
-    references are interned into a chain-scoped {!pool} and stored as
-    pool ids.  Interning is injective with respect to {!Value.equal}, so
-    the integer image of a row ({!key_of_row}) compares like the tuple
-    itself — dedup sets and join tables hash machine integers instead of
-    re-hashing nested reference keys per row.
+    Every value is interned into a chain-scoped {!pool} and stored as
+    its pool id, one [int array] per attribute.  Interning is injective
+    with respect to {!Value.equal}, so the integer image of a row
+    ({!key_of_row}) compares like the tuple itself — join tables and
+    division groups hash machine integers instead of re-hashing nested
+    reference keys per row.
 
     A batch optionally carries a selection vector (ascending live row
     indices): filters refine it, projections share the column arrays,
     and only the row-multiplying operators gather into dense columns. *)
-
-type col = C_int of int array | C_bool of Bytes.t | C_obj of int array
 
 type encoded
 (** One relation's columns, encoded in iteration order. *)
@@ -21,24 +18,14 @@ type pool
 (** Chain-scoped interning state plus a per-relation encode cache. *)
 
 type t = {
-  cols : col array;
+  cols : int array array;     (** one column of pool ids per attribute *)
   nrows : int;                (** physical length of every column *)
   sel : int array option;     (** ascending live row indices; [None] = all *)
   pool : pool;
 }
 
-exception Unbatchable
-(** A value did not fit its column's declared class.  Unreachable for
-    well-typed tuples; callers treat it as "fall back to scalar". *)
-
 val create_pool : unit -> pool
 val value : pool -> int -> Value.t
-
-type cls = K_int | K_bool | K_obj
-
-val cls_of_type : Vtype.t -> cls
-(** The column class an attribute domain encodes into — kernels refuse
-    to pair columns of different classes. *)
 
 val encode_relation : pool -> Relation.t -> encoded
 (** Encode a relation's contents (uninstrumented iteration order),
@@ -46,8 +33,8 @@ val encode_relation : pool -> Relation.t -> encoded
 
 val register_unordered : pool -> Relation.t -> encoded -> unit
 (** Hand the pool an encode of the relation's contents in INSERTION
-    order — the batched materializer calls this with the columns it
-    just decoded, so a later set-semantics pass skips the re-encode. *)
+    order — the materializer calls this with the columns it just
+    decoded, so a later set-semantics pass skips the re-encode. *)
 
 val encode_relation_unordered : pool -> Relation.t -> encoded
 (** Like {!encode_relation} but may return a {!register_unordered}
@@ -64,12 +51,9 @@ val of_encoded : pool -> encoded -> off:int -> len:int -> t
 val live_count : t -> int
 val live_iter : (int -> unit) -> t -> unit
 
-val cell : col -> int -> int
-(** Integer image of one cell (value, 0/1 byte, or pool id). *)
-
 val tuple : t -> int -> Tuple.t
-(** Decode one row back to a boxed tuple; interned cells return the
-    physically original values. *)
+(** Decode one row back to a boxed tuple; the cells are the physically
+    original interned values. *)
 
 val filter : t -> (int -> bool) -> t
 (** Refine the selection vector to the live rows satisfying the
@@ -78,13 +62,13 @@ val filter : t -> (int -> bool) -> t
 val project : t -> int array -> t
 (** Share the named columns; no copying. *)
 
-val key_of_row : col array -> int array -> int -> int array
+val key_of_row : int array array -> int array -> int -> int array
 (** Integer key of a row over the positioned columns. *)
 
-val gather_cols : col array -> int array -> col array
+val gather_cols : int array array -> int array -> int array array
 (** Dense copies of the columns at the given row indices. *)
 
-val of_cols : pool -> col array -> int -> t
+val of_cols : pool -> int array array -> int -> t
 
 (** Growable integer vector — gather-index accumulator for joins whose
     output size is unknown up front. *)
@@ -98,11 +82,11 @@ module Ivec : sig
 end
 
 type acc
-(** Output accumulator: collects the integer cells of the rows a
-    batched materialize actually inserts, for {!register_unordered}. *)
+(** Output accumulator: collects the pool ids of the rows a
+    materialize actually inserts, for {!register_unordered}. *)
 
-val acc_create : cls array -> acc
-(** Column classes come from the destination schema, so an empty
+val acc_create : int -> acc
+(** One column per destination attribute (the arity), so an empty
     output still finishes into well-shaped columns. *)
 
 val acc_push : acc -> t -> int -> unit

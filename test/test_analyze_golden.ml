@@ -68,14 +68,8 @@ let analyze_doc () =
   let db = Workload.Suppliers.generate Workload.Suppliers.default_params in
   let q = Workload.Suppliers.ships_all_parts db in
   let a =
-    (* batch_size is pinned (not the PASCALR_BATCH_SIZE default): the
-       trace section embeds only counters that moved, so the schema
-       legitimately includes the algebra.batch.* paths exactly when the
-       vectorized engine runs — the golden pins the batched shape. *)
     Pascalr.Analyze.run ~pool_pages:8
-      ~opts:
-        (Pascalr.Exec_opts.make ~strategy:Pascalr.Strategy.full
-           ~batch_size:2048 ())
+      ~opts:(Pascalr.Exec_opts.make ~strategy:Pascalr.Strategy.full ())
       db q
   in
   Pascalr.Analyze.to_json ~database:"suppliers" ~scale:1 db q a

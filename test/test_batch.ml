@@ -1,11 +1,11 @@
-(* The vectorized batch execution layer: window-boundary edge cases on
-   the stream kernels (empty source, all-false selection, batch larger
-   than the input, windows that don't divide the cardinality), and the
-   QCheck differential pinning the batch-independence contract — the
-   batched engine must produce the scalar engine's result set for every
-   batch size and strategy preset, with identical iteration
-   order whenever the query involves no universal quantification (the
-   columnar divide is documented to reorder only the quotient). *)
+(* The batch kernels of the combination phase's stream engine: chains
+   whose sources straddle real window boundaries (empty, one short of a
+   window, exactly one window, one past it, and a tail after two full
+   windows) must compute, as sets, what the materialized operators of
+   {!Relalg.Algebra} compute over the same inputs; and the kernel
+   counters account for the rows that flow.  The whole engine is checked
+   against the naive evaluator by the "random queries: all strategies =
+   naive" property in test_properties.ml. *)
 
 open Relalg
 open Pascalr
@@ -16,157 +16,114 @@ let exec_q ?opts db q = Session.exec ?opts (Session.create db) q
 
 module Stream = Algebra.Stream
 
-let seq_of r = List.rev (Relation.fold (fun acc t -> t :: acc) [] r)
-
-let check_same_relation label a b =
-  Alcotest.(check (list Helpers.tuple))
-    (label ^ ": iteration order") (seq_of a) (seq_of b);
-  Alcotest.(check (list Helpers.tuple))
-    (label ^ ": sorted contents") (Relation.to_list a) (Relation.to_list b)
-
 let pair_rel name cols rows =
   Relation.of_list ~name
     (Schema.make (List.map (fun c -> Schema.attr c Vtype.int_full) cols) ~key:[])
     (List.map (fun (a, b) -> Tuple.of_list [ Value.int a; Value.int b ]) rows)
 
-(* One representative chain exercising every kernel: filter, project
-   with duplicates, dedup, and a hash join against a build relation. *)
-let chain build src =
-  let s = Stream.of_relation src in
-  let s =
-    Stream.select (fun t -> Value.compare (Tuple.get t 1) (Value.int 3) >= 0) s
-  in
-  let s = Stream.project s [ "x" ] in
-  let s = Stream.dedup s in
-  Stream.natural_join s build
+(* Source sizes around the window: every chain below is run at each. *)
+let sizes =
+  let w = Stream.window in
+  [ 0; w - 1; w; w + 1; (2 * w) + 3 ]
 
-(* --------------------------------------------------------------- *)
-(* Window-boundary units: each scalar materialize (the oracle) against
-   a sweep of batch sizes, including sizes that don't divide the
-   input, exceed it, or meet an empty stream. *)
+(* Source rows: [x] repeats with period 37, so projections produce
+   duplicates in every window and join keys recur across windows. *)
+let source n = pair_rel "s" [ "x"; "y" ] (List.init n (fun i -> (i mod 37, i)))
 
-let batch_sweep label src mk =
-  let scalar = Stream.materialize ~batch_size:1 (mk src) in
-  List.iter
-    (fun bs ->
-      let batched = Stream.materialize ~batch_size:bs (mk src) in
-      check_same_relation (Printf.sprintf "%s (batch_size %d)" label bs)
-        scalar batched)
-    [ 2; 3; 7; 64; 100_000 ]
+let check_same_set label expected got =
+  Alcotest.(check (list Helpers.tuple))
+    label (Relation.to_list expected) (Relation.to_list got)
 
 let test_boundaries () =
+  (* Build side: some keys match several rows, some none. *)
   let build =
-    pair_rel "b" [ "x"; "z" ] (List.init 9 (fun i -> (i mod 5, i * 10)))
+    pair_rel "b" [ "x"; "z" ] (List.init 50 (fun i -> ((i * 3) mod 41, i)))
   in
-  let mk src = chain build src in
-  batch_sweep "empty source" (pair_rel "e" [ "x"; "y" ] []) mk;
-  batch_sweep "all rows filtered out"
-    (pair_rel "f" [ "x"; "y" ] (List.init 10 (fun i -> (i, -1))))
-    mk;
-  batch_sweep "batch larger than input"
-    (pair_rel "g" [ "x"; "y" ] (List.init 4 (fun i -> (i, i + 3))))
-    mk;
-  batch_sweep "non-multiple cardinality"
-    (pair_rel "h" [ "x"; "y" ] (List.init 10 (fun i -> (i mod 6, i))))
-    mk
+  List.iter
+    (fun n ->
+      let src = source n in
+      let label what = Printf.sprintf "%s, %d source rows" what n in
+      check_same_set (label "join")
+        (Algebra.natural_join src build)
+        (Stream.materialize (Stream.natural_join (Stream.of_relation src) build));
+      check_same_set (label "join-project")
+        (Algebra.project (Algebra.natural_join src build) [ "x"; "z" ])
+        (Stream.materialize
+           (Stream.project
+              (Stream.natural_join (Stream.of_relation src) build)
+              [ "x"; "z" ]));
+      check_same_set (label "project-join")
+        (Algebra.natural_join (Algebra.project src [ "x" ]) build)
+        (Stream.materialize
+           (Stream.natural_join
+              (Stream.project (Stream.of_relation src) [ "x" ])
+              build)))
+    sizes
 
 let test_product_and_semijoin_windows () =
-  let src = pair_rel "s" [ "x"; "y" ] (List.init 10 (fun i -> (i mod 4, i))) in
   (* disjoint columns: the join degenerates to a product *)
   let prod = pair_rel "p" [ "u"; "v" ] (List.init 3 (fun i -> (i, i + 50))) in
-  batch_sweep "product windows" src (fun s ->
-      Stream.natural_join (Stream.of_relation s) prod);
   (* no new columns: the join degenerates to a semijoin filter *)
-  let semi = pair_rel "m" [ "x"; "y" ] [ (1, 1); (2, 4); (7, 7) ] in
-  batch_sweep "semijoin windows" src (fun s ->
-      Stream.natural_join (Stream.of_relation s) semi)
+  let semi = pair_rel "m" [ "x"; "y" ] (List.init 40 (fun i -> (i mod 37, i * 2))) in
+  List.iter
+    (fun n ->
+      let src = source n in
+      let label what = Printf.sprintf "%s, %d source rows" what n in
+      check_same_set (label "product")
+        (Algebra.product src prod)
+        (Stream.materialize (Stream.natural_join (Stream.of_relation src) prod));
+      check_same_set (label "product-project")
+        (Algebra.project (Algebra.product src prod) [ "x"; "v" ])
+        (Stream.materialize
+           (Stream.project (Stream.product (Stream.of_relation src) prod)
+              [ "x"; "v" ]));
+      check_same_set (label "semijoin")
+        (Algebra.semijoin ~on:[ ("x", "x"); ("y", "y") ] src semi)
+        (Stream.materialize (Stream.natural_join (Stream.of_relation src) semi)))
+    sizes
 
 (* --------------------------------------------------------------- *)
-(* Whole-pipeline batch-independence: the differential of the issue.
-   The scalar engine (batch_size = 1) is the oracle; the batched
-   engine must agree for small windows (many boundaries) and the
-   default window — across every strategy preset.
-   Result sets must match always; iteration order must also match
-   unless the query can involve universal quantification (negation
-   included: adaptation rewrites NOT-EXISTS into ALL), where the
-   columnar divide reorders only the quotient relation. *)
+(* Counters *)
 
-let rec order_exact_formula = function
-  | Calculus.F_true | Calculus.F_false | Calculus.F_atom _ -> true
-  | Calculus.F_not _ | Calculus.F_all _ -> false
-  | Calculus.F_and (a, b) | Calculus.F_or (a, b) ->
-    order_exact_formula a && order_exact_formula b
-  | Calculus.F_some (_, _, f) -> order_exact_formula f
-
-let order_exact (q : Calculus.query) = order_exact_formula q.Calculus.body
-
-let batch_independent_on seed =
-  let db = Workload.Random_query.tiny_db ((seed * 7919) + 3) in
-  let q = Workload.Random_query.generate db (seed + 17) in
-  match Wellformed.check_query db q with
-  | Error _ -> true (* generator contract tested elsewhere *)
-  | Ok () ->
-    List.for_all
-      (fun (sname, strategy) ->
-        let run batch_size =
-          exec_q ~opts:(Exec_opts.make ~strategy ~batch_size ()) db q
-        in
-        let reference = run 1 in
-        List.for_all
-          (fun batch_size ->
-            let r = run batch_size in
-            let sets_equal =
-              List.equal Tuple.equal (Relation.to_list reference)
-                (Relation.to_list r)
-            in
-            let order_ok =
-              (not (order_exact q))
-              || List.equal Tuple.equal (seq_of reference) (seq_of r)
-            in
-            (sets_equal && order_ok)
-            ||
-            QCheck.Test.fail_reportf
-              "batch_size=%d diverges from scalar under %s, seed %d \
-               (%s):@.%a@.scalar %a@.got %a"
-              batch_size sname seed
-              (if sets_equal then "iteration order" else "result set")
-              Calculus.pp_query q Relation.pp reference Relation.pp r)
-          [ 3; 2048; 4 ])
-      Strategy.all_presets
-
-let test_batch_differential =
-  QCheck.Test.make
-    ~name:
-      "random queries: batched engine matches scalar result set (and order \
-       without ALL)"
-    ~count:60
-    QCheck.(make Gen.(int_range 0 100_000))
-    batch_independent_on
-
-(* --------------------------------------------------------------- *)
-(* Counters and options plumbing *)
+let delta counter f =
+  let before = Obs.Metrics.counter_value counter in
+  f ();
+  Obs.Metrics.counter_value counter - before
 
 let test_batch_counters_move () =
+  let build = pair_rel "b" [ "x"; "z" ] [ (1, 10); (1, 11); (2, 20) ] in
+  let n = (2 * Stream.window) + 3 in
+  let src = source n in
+  let chain () =
+    ignore
+      (Stream.materialize (Stream.natural_join (Stream.of_relation src) build)
+        : Relation.t)
+  in
+  (* x = 1 matches twice, x = 2 once; both occur once per 37 rows. *)
+  let per_period = 3 in
+  let matches =
+    (per_period * (n / 37))
+    + (if n mod 37 > 1 then 2 else 0)
+    + if n mod 37 > 2 then 1 else 0
+  in
+  Alcotest.(check int) "rows_in counts every source row" n
+    (delta "algebra.batch.rows_in" chain);
+  Alcotest.(check int) "rows_out counts the join's emitted rows" matches
+    (delta "algebra.batch.rows_out" chain);
+  Alcotest.(check int) "an empty source feeds no rows" 0
+    (delta "algebra.batch.rows_in" (fun () ->
+         ignore
+           (Stream.materialize
+              (Stream.natural_join (Stream.of_relation (source 0)) build)
+             : Relation.t)));
   let db = Workload.Suppliers.generate (Workload.Suppliers.scaled ~seed:5 1) in
   let q = Workload.Suppliers.ships_no_red_part db in
-  let run batch_size =
-    let before = Obs.Metrics.counter_value "algebra.batch.rows_in" in
-    ignore
-      (exec_q
-         ~opts:(Exec_opts.make ~strategy:Strategy.s123 ~batch_size ())
-         db q);
-    Obs.Metrics.counter_value "algebra.batch.rows_in" - before
-  in
-  Alcotest.(check int) "scalar execution feeds no batch kernels" 0 (run 1);
-  Alcotest.(check bool) "batched execution counts kernel input rows" true
-    (run 256 > 0)
-
-let test_fingerprint_distinguishes_batch_size () =
-  let fp batch_size =
-    Exec_opts.fingerprint (Exec_opts.make ~batch_size ())
-  in
-  Alcotest.(check bool) "batch_size in the plan-cache key" true
-    (fp 1 <> fp 2048)
+  Alcotest.(check bool) "a query's combination phase counts kernel rows" true
+    (delta "algebra.batch.rows_in" (fun () ->
+         ignore
+           (exec_q ~opts:(Exec_opts.make ~strategy:Strategy.s123 ()) db q
+             : Relation.t))
+    > 0)
 
 let suite =
   [
@@ -176,10 +133,7 @@ let suite =
           test_boundaries;
         Alcotest.test_case "product/semijoin degenerate chains" `Quick
           test_product_and_semijoin_windows;
-        Alcotest.test_case "batch counters move only when batched" `Quick
+        Alcotest.test_case "batch counters move only when rows flow" `Quick
           test_batch_counters_move;
-        Alcotest.test_case "fingerprint separates batch sizes" `Quick
-          test_fingerprint_distinguishes_batch_size;
-        QCheck_alcotest.to_alcotest test_batch_differential;
       ] );
   ]

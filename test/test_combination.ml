@@ -151,21 +151,17 @@ let test_stream_matches_classic () =
   in
   let a = mk schema_a 120 12 and b = mk schema_b 90 12 in
   let c = mk schema_c 40 12 in
-  let pred t = Value.compare (Tuple.get t 0) (Value.int 6) < 0 in
   let classic =
-    Algebra.project
-      (Algebra.select pred (Algebra.natural_join a b))
-      [ "x"; "z" ]
+    Algebra.project (Algebra.natural_join a b) [ "x"; "z" ]
   in
   let fused =
     Algebra.Stream.materialize
       (Algebra.Stream.project
-         (Algebra.Stream.select pred
-            (Algebra.Stream.natural_join (Algebra.Stream.of_relation a) b))
+         (Algebra.Stream.natural_join (Algebra.Stream.of_relation a) b)
          [ "x"; "z" ])
   in
   Alcotest.(check bool)
-    "select-join-project chain: fused = classic" true
+    "join-project chain: fused = classic" true
     (Relation.equal_set classic fused);
   let classic_prod = Algebra.project (Algebra.product a c) [ "x"; "z" ] in
   let fused_prod =
@@ -177,14 +173,15 @@ let test_stream_matches_classic () =
   Alcotest.(check bool)
     "product-project chain: fused = classic" true
     (Relation.equal_set classic_prod fused_prod);
-  let deduped =
+  (* The streaming projection passes duplicates through; the
+     materialization's whole-tuple key collapses them. *)
+  let projected =
     Algebra.Stream.materialize
-      (Algebra.Stream.dedup
-         (Algebra.Stream.project (Algebra.Stream.of_relation a) [ "x" ]))
+      (Algebra.Stream.project (Algebra.Stream.of_relation a) [ "x" ])
   in
   Alcotest.(check bool)
-    "dedup stream = duplicate-eliminating projection" true
-    (Relation.equal_set (Algebra.project a [ "x" ]) deduped)
+    "projected stream = duplicate-eliminating projection" true
+    (Relation.equal_set (Algebra.project a [ "x" ]) projected)
 
 let suite =
   [

@@ -322,16 +322,13 @@ let test_absorb_keeps_foreign_atoms_inside () =
 
 let comparisons = Value.[ Eq; Ne; Lt; Le; Gt; Ge ]
 
-(* Batch 1/2048 x index on/off, under s1+s2+s3+s4. *)
+(* Index on/off, under s1+s2+s3+s4. *)
 let engine_opts =
-  List.concat_map
-    (fun batch_size ->
-      List.map
-        (fun use_index ->
-          ( Printf.sprintf "batch=%d index=%b" batch_size use_index,
-            Exec_opts.make ~strategy:Strategy.s1234 ~batch_size ~use_index () ))
-        [ true; false ])
-    [ 1; 2048 ]
+  List.map
+    (fun use_index ->
+      ( Printf.sprintf "index=%b" use_index,
+        Exec_opts.make ~strategy:Strategy.s1234 ~use_index () ))
+    [ true; false ]
 
 let with_indexes db =
   ignore (Database.declare_index db "parts" ~on:[ "pcolor" ] : Secondary_index.t);

@@ -2,10 +2,9 @@
    incremental maintenance through relation mutations, MVCC
    copy-on-write independence, snapshot persistence with checksummed
    pages (and the index.* failpoints), the access path the collection
-   phase reports per structure, the join algorithm the combination
-   phase picks per step — and the QCheck differential proving that
-   index-driven adaptive plans return exactly the tuples of the forced
-   heap-scan nested-loop oracle across presets and batch sizes. *)
+   phase reports per structure — and the QCheck differential proving
+   that index-driven adaptive plans return exactly the tuples of the
+   naive evaluator across the strategy presets. *)
 
 open Pascalr
 open Relalg
@@ -284,45 +283,6 @@ let test_range_path_pin () =
   Alcotest.(check string) "unselective range falls back to the scan" "scan"
     (path_of r_wide "base:h")
 
-(* A two-variable equi-join collapses into one indirect-join pair
-   structure in collection (zero streaming join steps), so the pin
-   needs the three-variable running query: its combination joins the
-   course/timetable structures through the stream engine. *)
-let test_join_algo_pins () =
-  let db = Workload.Random_query.tiny_db 3 in
-  let join_query = Workload.Queries.running_query db in
-  let opts = Exec_opts.make ~strategy:Strategy.s12 () in
-  let r = report ~opts db join_query in
-  Alcotest.(check bool) "streaming joins were recorded" true
-    (r.Exec_result.join_algos <> []);
-  List.iter
-    (fun (step, algo) ->
-      Alcotest.(check bool)
-        (Fmt.str "step %s reports a known algorithm" step)
-        true
-        (List.mem algo [ "nlj"; "hash"; "batched-nlj" ]))
-    r.Exec_result.join_algos;
-  (* Forcing pins every step to the forced algorithm, and the answer
-     does not move. *)
-  List.iter
-    (fun forced_algo ->
-      let algo = Cost.join_algo_to_string forced_algo in
-      let forced =
-        report
-          ~opts:
-            (Exec_opts.make ~strategy:Strategy.s12 ~force_join:forced_algo ())
-          db join_query
-      in
-      List.iter
-        (fun (step, got) ->
-          Alcotest.(check string) (Fmt.str "forced %s at %s" algo step) algo got)
-        forced.Exec_result.join_algos;
-      Alcotest.(check bool)
-        (Fmt.str "forced %s returns the same tuples" algo)
-        true
-        (Relation.equal_set r.Exec_result.result forced.Exec_result.result))
-    [ Cost.J_nlj; Cost.J_hash; Cost.J_batched_nlj ]
-
 let test_analyze_json_reports_paths () =
   let db = mk_db () in
   ignore (Database.declare_index db "shipments" ~on:[ "hqty" ] : Secondary_index.t);
@@ -342,12 +302,10 @@ let test_analyze_json_reports_paths () =
   Alcotest.(check bool) "analyze json has the access_paths section" true
     (contains "\"access_paths\"");
   Alcotest.(check bool) "analyze json reports the probe" true
-    (contains "\"probe\"");
-  Alcotest.(check bool) "analyze json has the join_algos section" true
-    (contains "\"join_algos\"")
+    (contains "\"probe\"")
 
 (* ---------------------------------------------------------------- *)
-(* QCheck differential: adaptive index plans = forced heap-scan NLJ *)
+(* QCheck differential: adaptive index plans = naive evaluation *)
 
 (* Sorted single-component indexes on every attribute of the Figure-1
    schema: sorted serves both the equality probes and the range scans,
@@ -369,36 +327,25 @@ let indexed_plans_agree_on seed =
   let db = Workload.Random_query.tiny_db ((seed * 2654435761) + 9) in
   index_everything db;
   let q = Workload.Random_query.generate db (seed + 23) in
-  (* The oracle: heap scans only, every join a nested loop. *)
-  let expected =
-    exec_q
-      ~opts:
-        (Exec_opts.make ~strategy:Strategy.s1234 ~use_index:false
-           ~force_join:Cost.J_nlj ())
-      db q
-  in
+  (* The oracle: the naive evaluator, which reads every range by heap
+     scan and never consults an index. *)
+  let expected = Naive_eval.run db q in
   List.for_all
     (fun (sname, strategy) ->
-      List.for_all
-        (fun batch_size ->
-          let actual =
-            exec_q
-              ~opts:(Exec_opts.make ~strategy ~batch_size ~use_index:true ())
-              db q
-          in
-          Relation.equal_set expected actual
-          ||
-          QCheck.Test.fail_reportf
-            "indexed %s (batch=%d) differs from heap-scan NLJ oracle on seed \
-             %d:@.%a@.expected %a@.got %a"
-            sname batch_size seed Calculus.pp_query q Relation.pp expected
-            Relation.pp actual)
-        [ 1; 2048 ])
+      let actual =
+        exec_q ~opts:(Exec_opts.make ~strategy ~use_index:true ()) db q
+      in
+      Relation.equal_set expected actual
+      ||
+      QCheck.Test.fail_reportf
+        "indexed %s differs from the naive evaluator on seed %d:@.%a@.\
+         expected %a@.got %a"
+        sname seed Calculus.pp_query q Relation.pp expected Relation.pp actual)
     Strategy.all_presets
 
 let test_indexed_differential =
   QCheck.Test.make
-    ~name:"indexed adaptive plans = heap-scan NLJ oracle (presets x batch)"
+    ~name:"indexed adaptive plans = heap-scan naive evaluator (presets)"
     ~count:30
     QCheck.(make Gen.(int_range 0 100_000))
     indexed_plans_agree_on
@@ -460,9 +407,7 @@ let suite =
           test_access_path_pins;
         Alcotest.test_case "access path pins: range and fallback" `Quick
           test_range_path_pin;
-        Alcotest.test_case "join algorithm pins and force_join" `Quick
-          test_join_algo_pins;
-        Alcotest.test_case "analyze json carries paths and algorithms" `Quick
+        Alcotest.test_case "analyze json carries paths and probes" `Quick
           test_analyze_json_reports_paths;
         QCheck_alcotest.to_alcotest test_indexed_differential;
         QCheck_alcotest.to_alcotest test_churn_differential;

@@ -109,22 +109,19 @@ let test_lru_eviction () =
    to the spelling of range variables (alpha-canonical digests). *)
 
 (* The options fingerprint is the options half of every plan-cache key:
-   changing any one execution setting — strategy, join order, batch
-   size, index use, forced join algorithm — must yield its own key. *)
+   changing any one execution setting — strategy, join order, index
+   use — must yield its own key. *)
 let test_keys_per_options () =
   let db = mk_db () in
   let q = Workload.Suppliers.ships_all_parts db in
   let s = Session.create db in
-  let base = Exec_opts.make ~batch_size:2048 ~use_index:true () in
+  let base = Exec_opts.make ~use_index:true () in
   let variants =
     [
       base;
       { base with Exec_opts.strategy = Strategy.palermo };
       { base with Exec_opts.join_order = Combination.Declaration };
-      { base with Exec_opts.batch_size = 1 };
       { base with Exec_opts.use_index = false };
-      { base with Exec_opts.force_join = Some Cost.J_nlj };
-      { base with Exec_opts.force_join = Some Cost.J_hash };
     ]
   in
   List.iter (fun opts -> ignore (Session.prepare ~opts s q)) variants;
@@ -135,19 +132,16 @@ let test_keys_per_options () =
 
 (* The fingerprint alone, without a session: pairwise distinct over
    single-setting changes, and the default form carries exactly the
-   strategy, join order and batch size tokens. *)
+   strategy and join order tokens. *)
 let test_fingerprint_separates_settings () =
-  let base = Exec_opts.make ~batch_size:2048 ~use_index:true () in
+  let base = Exec_opts.make ~use_index:true () in
   let fps =
     List.map Exec_opts.fingerprint
       [
         base;
         { base with Exec_opts.strategy = Strategy.palermo };
         { base with Exec_opts.join_order = Combination.Declaration };
-        { base with Exec_opts.batch_size = 1 };
         { base with Exec_opts.use_index = false };
-        { base with Exec_opts.force_join = Some Cost.J_nlj };
-        { base with Exec_opts.force_join = Some Cost.J_hash };
       ]
   in
   Alcotest.(check int)
@@ -155,7 +149,7 @@ let test_fingerprint_separates_settings () =
     (List.length (List.sort_uniq String.compare fps));
   Alcotest.(check string)
     "default form"
-    (Strategy.to_string Strategy.full ^ "/ordered/b2048")
+    (Strategy.to_string Strategy.full ^ "/ordered")
     (Exec_opts.fingerprint base)
 
 let test_alpha_renaming_shares_key () =
